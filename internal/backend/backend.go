@@ -481,77 +481,100 @@ func (m *Machine) RunDist(exe *circuit.Circuit, trials int, r *rng.RNG) (*dist.D
 	return c.Dist(), nil
 }
 
-// runTrajectory executes one trial. s is a statevector of prog.nLocal
-// qubits and trueBits scratch of size numClbits; both are reset here so
-// callers reuse one allocation across trials.
+// runTrajectory executes one trial. s is a statevector owning at least
+// prog.nLocal qubits' worth of buffer and trueBits scratch of size
+// numClbits; both are reset here (s back to the full register, however a
+// dropping replay left it) so callers reuse one allocation across trials.
 func (m *Machine) runTrajectory(prog *program, s *statevec.State, trueBits []int, r *rng.RNG) bitstr.BitString {
 	s.Reset()
 	for i := range trueBits {
 		trueBits[i] = 0
 	}
-	return m.resumeTrajectory(prog, s, trueBits, r, 0)
+	return m.resumeTrajectory(prog, nil, s, trueBits, r, 0)
 }
 
 // resumeTrajectory runs the trajectory loop from schedule step `from` to
 // the end, then applies readout. Callers position s, trueBits, and r at
 // step `from` first: runTrajectory starts from the reset state with a
-// fresh trial stream, the prefix-sharing engine from a restored
-// checkpoint with the stream skipped to the checkpoint's draw index.
-func (m *Machine) resumeTrajectory(prog *program, s *statevec.State, trueBits []int, r *rng.RNG, from int) bitstr.BitString {
+// fresh trial stream on the full register (plan nil), the
+// prefix-sharing engine from a restored checkpoint on its plan's
+// shrinking register with the stream skipped to the checkpoint's draw
+// index.
+func (m *Machine) resumeTrajectory(prog *program, plan *prefixPlan, s *statevec.State, trueBits []int, r *rng.RNG, from int) bitstr.BitString {
 	for i := from; i < len(prog.steps); i++ {
 		st := &prog.steps[i]
+		q0, q1, drop := plan.at(st, i)
 		switch st.kind {
 		case stepU1, stepU2:
-			applyUnitaryStep(s, st)
+			applyUnitaryStep(s, st, q0, q1)
 		case stepPauli1:
 			if k := noise.SamplePauli1Q(st.p, r); k != 0 {
-				s.Apply1Q(noise.Pauli1Q[k], st.q0)
+				s.Apply1Q(noise.Pauli1Q[k], q0)
 			}
 		case stepPauli2:
 			ka, kb := noise.SamplePauli2Q(st.p, r)
 			if ka != 0 {
-				s.Apply1Q(noise.Pauli1Q[ka], st.q0)
+				s.Apply1Q(noise.Pauli1Q[ka], q0)
 			}
 			if kb != 0 {
-				s.Apply1Q(noise.Pauli1Q[kb], st.q1)
+				s.Apply1Q(noise.Pauli1Q[kb], q1)
 			}
 		case stepDamp:
 			if st.ampK != nil {
-				s.ApplyKraus1Q(st.ampK, st.q0, r)
+				s.ApplyKraus1Q(st.ampK, q0, r)
 			}
 			if st.phK != nil {
-				s.ApplyKraus1Q(st.phK, st.q0, r)
+				s.ApplyKraus1Q(st.phK, q0, r)
 			}
 		case stepMeasure:
-			trueBits[st.cbit] = s.MeasureQubit(st.q0, r)
+			// State.MeasureQubit's draw, then its projection (or the
+			// terminal project-and-drop).
+			p1 := s.ProbabilityOne(q0)
+			k := 0
+			if r.Float64() < p1 {
+				k = 1
+			}
+			project(s, q0, k, drop)
+			trueBits[st.cbit] = k
 		}
 	}
 	return m.applyReadout(prog, trueBits, r)
 }
 
+// project collapses qubit q onto outcome k, dropping it from the
+// register when drop marks a terminal measurement.
+func project(s *statevec.State, q, k int, drop bool) {
+	if drop {
+		s.ProjectDrop(q, k)
+		return
+	}
+	s.Project(q, k)
+}
+
 // applyUnitaryStep dispatches a deterministic unitary step to its fused
-// kernel class. It is shared by the legacy trial loop, the prefix
-// engine's replay path, and the dominant-path builder, so all three
-// evolve states through identical kernels.
-func applyUnitaryStep(s *statevec.State, st *step) {
+// kernel class, on register qubits q0 (and q1). It is shared by the
+// legacy trial loop, the prefix engine's replay path, and the
+// dominant-path builder, so all three evolve states through identical
+// kernels.
+func applyUnitaryStep(s *statevec.State, st *step, q0, q1 int) {
 	switch st.kind {
 	case stepU1:
 		switch st.class {
 		case matDiag:
-			s.Apply1QDiag(st.m2[0][0], st.m2[1][1], st.q0)
+			s.Apply1QDiag(st.m2[0][0], st.m2[1][1], q0)
 		case matAnti:
-			s.Apply1QAntiDiag(st.m2[0][1], st.m2[1][0], st.q0)
+			s.Apply1QAntiDiag(st.m2[0][1], st.m2[1][0], q0)
 		default:
-			s.Apply1Q(st.m2, st.q0)
+			s.Apply1Q(st.m2, q0)
 		}
 	case stepU2:
 		switch st.class {
 		case matDiag:
-			s.Apply2QDiag(st.d4, st.q0, st.q1)
+			s.Apply2QDiag(st.d4, q0, q1)
 		case matPerm:
-			s.Apply2QPerm(st.perm, st.q0, st.q1)
+			s.Apply2QPerm(st.perm, q0, q1)
 		default:
-			s.Apply2Q(st.m4, st.q0, st.q1)
+			s.Apply2Q(st.m4, q0, q1)
 		}
 	}
 }

@@ -88,11 +88,12 @@ type rGroup struct {
 
 // unitState is the double-buffered working set of one processUnit call.
 type unitState struct {
-	work   []laneTrial // current trial order, grouped contiguously
-	swap   []laneTrial // next order, rebuilt by each partition
-	branch []int       // branch drawn per work index, scratch
-	groups []rGroup
-	gnext  []rGroup
+	work     []laneTrial // current trial order, grouped contiguously
+	swap     []laneTrial // next order, rebuilt by each partition
+	branch   []int       // branch drawn per work index, scratch
+	outcomes []int       // measured outcome per live lane, scratch for drops
+	groups   []rGroup
+	gnext    []rGroup
 }
 
 // stochOp adapts one stochastic sub-step to the partition engine. prep
@@ -137,25 +138,25 @@ func (t *batchTally) flush() {
 
 // applyUnitaryStepBatch is applyUnitaryStep across every live lane of a
 // batch: the same matClass dispatch onto the batched flat kernels.
-func applyUnitaryStepBatch(b *statevec.Batch, st *step) {
+func applyUnitaryStepBatch(b *statevec.Batch, st *step, q0, q1 int) {
 	switch st.kind {
 	case stepU1:
 		switch st.class {
 		case matDiag:
-			b.Apply1QDiagBatch(st.m2[0][0], st.m2[1][1], st.q0)
+			b.Apply1QDiagBatch(st.m2[0][0], st.m2[1][1], q0)
 		case matAnti:
-			b.Apply1QAntiDiagBatch(st.m2[0][1], st.m2[1][0], st.q0)
+			b.Apply1QAntiDiagBatch(st.m2[0][1], st.m2[1][0], q0)
 		default:
-			b.Apply1QBatch(st.m2, st.q0)
+			b.Apply1QBatch(st.m2, q0)
 		}
 	case stepU2:
 		switch st.class {
 		case matDiag:
-			b.Apply2QDiagBatch(st.d4, st.q0, st.q1)
+			b.Apply2QDiagBatch(st.d4, q0, q1)
 		case matPerm:
-			b.Apply2QPermBatch(st.perm, st.q0, st.q1)
+			b.Apply2QPermBatch(st.perm, q0, q1)
 		default:
-			b.Apply2QBatch(st.m4, st.q0, st.q1)
+			b.Apply2QBatch(st.m4, q0, q1)
 		}
 	}
 }
@@ -268,25 +269,28 @@ func partitionStoch(b *statevec.Batch, us *unitState, op stochOp, ck *checkpoint
 	us.groups, us.gnext = us.gnext, us.groups
 }
 
-// processUnit replays one unit's trials from its checkpoint to readout,
-// observing each trial's outcome into counts. Overflowing sub-groups
-// are appended to *defers as continuation units. A cancelled run
-// returns early; the caller discards partial counts.
-func (m *Machine) processUnit(prog *program, u replayUnit, base *rng.RNG, counts *dist.Counts, defers *[]replayUnit, tally *batchTally, maxLanes int, cancel *atomic.Bool) {
+// processUnit replays one unit's trials from its checkpoint to readout
+// on the plan's shrinking register, observing each trial's outcome into
+// counts. The batch starts at the register width of the checkpoint's
+// step and narrows at every terminal measurement. Overflowing
+// sub-groups are appended to *defers as continuation units. A cancelled
+// run returns early; the caller discards partial counts.
+func (m *Machine) processUnit(prog *program, plan *prefixPlan, u replayUnit, base *rng.RNG, counts *dist.Counts, defers *[]replayUnit, tally *batchTally, maxLanes int, cancel *atomic.Bool) {
 	ck := u.ck
 	lanes := len(u.ids)
 	if lanes > maxLanes {
 		lanes = maxLanes
 	}
-	b := statevec.GetBatch(prog.nLocal, lanes)
+	b := statevec.GetBatch(int(plan.reg[ck.stepIdx].width), lanes)
 	defer b.Release()
 
 	us := &unitState{
-		work:   make([]laneTrial, 0, len(u.ids)),
-		swap:   make([]laneTrial, 0, len(u.ids)),
-		branch: make([]int, len(u.ids)),
-		groups: make([]rGroup, 0, 4),
-		gnext:  make([]rGroup, 0, 4),
+		work:     make([]laneTrial, 0, len(u.ids)),
+		swap:     make([]laneTrial, 0, len(u.ids)),
+		branch:   make([]int, len(u.ids)),
+		outcomes: make([]int, lanes),
+		groups:   make([]rGroup, 0, 4),
+		gnext:    make([]rGroup, 0, 4),
 	}
 	for _, t := range u.ids {
 		rr := base.DeriveN("trial", t)
@@ -306,15 +310,16 @@ func (m *Machine) processUnit(prog *program, u replayUnit, base *rng.RNG, counts
 			return
 		}
 		st := &prog.steps[si]
+		q0, q1, drop := plan.at(st, si)
 		switch st.kind {
 		case stepU1, stepU2:
-			applyUnitaryStepBatch(b, st)
+			applyUnitaryStepBatch(b, st, q0, q1)
 		case stepPauli1:
 			partitionStoch(b, us, stochOp{
 				draw: func(r *rng.RNG) int { return noise.SamplePauli1Q(st.p, r) },
 				apply: func(lane *statevec.State, _ []int, k int) {
 					if k != 0 {
-						lane.Apply1Q(noise.Pauli1Q[k], st.q0)
+						lane.Apply1Q(noise.Pauli1Q[k], q0)
 					}
 				},
 			}, ck, defers, tally)
@@ -326,10 +331,10 @@ func (m *Machine) processUnit(prog *program, u replayUnit, base *rng.RNG, counts
 				},
 				apply: func(lane *statevec.State, _ []int, k int) {
 					if ka := k & 3; ka != 0 {
-						lane.Apply1Q(noise.Pauli1Q[ka], st.q0)
+						lane.Apply1Q(noise.Pauli1Q[ka], q0)
 					}
 					if kb := k >> 2; kb != 0 {
-						lane.Apply1Q(noise.Pauli1Q[kb], st.q1)
+						lane.Apply1Q(noise.Pauli1Q[kb], q1)
 					}
 				},
 			}, ck, defers, tally)
@@ -344,17 +349,17 @@ func (m *Machine) processUnit(prog *program, u replayUnit, base *rng.RNG, counts
 				}
 				ks := ks
 				partitionStoch(b, us, stochOp{
-					prep: func(lane *statevec.State) { lane.KrausBranchProbs1Q(ks, st.q0, probs[:]) },
+					prep: func(lane *statevec.State) { lane.KrausBranchProbs1Q(ks, q0, probs[:]) },
 					draw: func(r *rng.RNG) int { return r.Choose(probs[:]) },
 					apply: func(lane *statevec.State, _ []int, k int) {
-						lane.ApplyKrausBranch1Q(ks, st.q0, k, probs[k])
+						lane.ApplyKrausBranch1Q(ks, q0, k, probs[k])
 					},
 				}, ck, defers, tally)
 			}
 		case stepMeasure:
 			var p1 float64
 			partitionStoch(b, us, stochOp{
-				prep: func(lane *statevec.State) { p1 = lane.ProbabilityOne(st.q0) },
+				prep: func(lane *statevec.State) { p1 = lane.ProbabilityOne(q0) },
 				draw: func(r *rng.RNG) int {
 					if r.Float64() < p1 {
 						return 1
@@ -362,10 +367,23 @@ func (m *Machine) processUnit(prog *program, u replayUnit, base *rng.RNG, counts
 					return 0
 				},
 				apply: func(lane *statevec.State, bits []int, k int) {
-					lane.Project(st.q0, k)
+					if !drop {
+						lane.Project(q0, k)
+					}
 					bits[st.cbit] = k
 				},
 			}, ck, defers, tally)
+			if drop {
+				// Every live lane belongs to exactly one group, whose bits
+				// now hold the lane's outcome: project and drop all lanes
+				// at once so they keep a common stride.
+				out := us.outcomes[:b.Live()]
+				for gi := range us.groups {
+					g := &us.groups[gi]
+					out[g.lane] = g.bits[st.cbit]
+				}
+				b.ProjectDrop(q0, out)
+			}
 		}
 	}
 	for gi := range us.groups {

@@ -199,8 +199,75 @@ type prefixPlan struct {
 	leaves   []*treeNode // leaf nodes, depth-first order
 	maxDepth int
 	// stateBytes is the checkpoint memory footprint (amplitude buffers
-	// only), reported by benchmarks as the engine's space overhead.
+	// only, each checkpoint at its own width), reported by benchmarks as
+	// the engine's space overhead.
 	stateBytes int64
+	// reg places every schedule step on the shrinking register the
+	// prefix-sharing engines run (dropSchedule).
+	reg []regStep
+}
+
+// regStep places one schedule step on the prefix-sharing engines'
+// register: its qubits' register indices, the register width before the
+// step, and whether it is a terminal measurement that drops its qubit.
+type regStep struct {
+	q0, q1, width uint8
+	drop          bool
+}
+
+// at returns step i's qubit indices on the register the engine runs and
+// whether the step drops its qubit. A nil plan means the full register
+// of EngineLegacy: the step's own indices and no drops.
+func (p *prefixPlan) at(st *step, i int) (q0, q1 int, drop bool) {
+	if p == nil {
+		return st.q0, st.q1, false
+	}
+	r := &p.reg[i]
+	return int(r.q0), int(r.q1), r.drop
+}
+
+// dropSchedule places prog's schedule on a shrinking register. A
+// measurement is terminal when no later step of any kind touches its
+// qubit — crosstalk ZZ and barrier idle damping count as touches — and
+// is marked drop: the engines remove the qubit from the register right
+// after projecting it, and the qubits above it move down one index. The
+// amplitudes a drop discards are exact zeros that no later step reads,
+// so every kept amplitude, branch probability and projection norm is
+// bit-identical to the full-register run (DESIGN.md §15). EngineLegacy
+// and ExactDist keep running prog.steps on the full register.
+func dropSchedule(prog *program) []regStep {
+	last := make([]int, prog.nLocal) // last step touching each local qubit
+	for i := range prog.steps {
+		st := &prog.steps[i]
+		last[st.q0] = i
+		if st.kind == stepU2 || st.kind == stepPauli2 {
+			last[st.q1] = i
+		}
+	}
+	pos := make([]uint8, prog.nLocal) // register index of each live local qubit
+	for q := range pos {
+		pos[q] = uint8(q)
+	}
+	n := uint8(prog.nLocal)
+	reg := make([]regStep, len(prog.steps))
+	for i := range prog.steps {
+		st := &prog.steps[i]
+		r := regStep{q0: pos[st.q0], width: n}
+		if st.kind == stepU2 || st.kind == stepPauli2 {
+			r.q1 = pos[st.q1]
+		}
+		if st.kind == stepMeasure && last[st.q0] == i {
+			r.drop = true
+			for q, p := range pos {
+				if p > r.q0 {
+					pos[q]--
+				}
+			}
+			n--
+		}
+		reg[i] = r
+	}
+	return reg
 }
 
 // Tree and checkpoint budgets. A fork adds a dominant path for a
@@ -452,7 +519,7 @@ func (b *treeBuilder) snapshot(node *treeNode, s *statevec.State, bits []int, st
 		state:   s.Clone(),
 		bits:    append([]int(nil), bits...),
 	})
-	b.plan.stateBytes += int64(16) << uint(b.prog.nLocal)
+	b.plan.stateBytes += int64(16) << uint(s.N())
 }
 
 // buildPrefixPlan builds the tape tree: the dominant path is executed
@@ -472,7 +539,7 @@ func buildPrefixPlan(prog *program) *prefixPlan {
 			return nil
 		}
 	}
-	plan := &prefixPlan{}
+	plan := &prefixPlan{reg: dropSchedule(prog)}
 	b := &treeBuilder{
 		prog:      prog,
 		plan:      plan,
@@ -521,6 +588,7 @@ func (b *treeBuilder) build(node *treeNode, s *statevec.State, bits []int, start
 	prog := b.prog
 	for i := startStep; i < len(prog.steps); i++ {
 		st := &prog.steps[i]
+		q0, q1, _ := b.plan.at(st, i)
 		sub := subStart
 		if i == startStep {
 			sub = startSub
@@ -530,7 +598,7 @@ func (b *treeBuilder) build(node *treeNode, s *statevec.State, bits []int, start
 		}
 		switch st.kind {
 		case stepU1, stepU2:
-			applyUnitaryStep(s, st)
+			applyUnitaryStep(s, st, q0, q1)
 		case stepPauli1, stepPauli2:
 			// Preferred branch: no error. This is the maximum-probability
 			// branch whenever p < 1/2, which holds for every calibrated
@@ -543,12 +611,12 @@ func (b *treeBuilder) build(node *treeNode, s *statevec.State, bits []int, start
 			}
 		case stepDamp:
 			if st.ampK != nil && sub < subAfterA {
-				if b.emitKraus(node, s, bits, st.ampK, st.q0, i, subAfterA, &tapeIdx) {
+				if b.emitKraus(node, s, bits, st.ampK, q0, i, subAfterA, &tapeIdx) {
 					return
 				}
 			}
 			if st.phK != nil && sub < subAfterP {
-				if b.emitKraus(node, s, bits, st.phK, st.q0, i, subAfterP, &tapeIdx) {
+				if b.emitKraus(node, s, bits, st.phK, q0, i, subAfterP, &tapeIdx) {
 					return
 				}
 			}
@@ -625,11 +693,13 @@ func (b *treeBuilder) emitKraus(node *treeNode, s *statevec.State, bits []int,
 
 // emitMeasure records one measurement on the dominant path, forking
 // when the outcome is near-50/50 (the canonical genuinely random branch
-// point: measuring an equal superposition). It returns true if the
+// point: measuring an equal superposition), and drops the qubit on every
+// branch when the measurement is terminal. It returns true if the
 // measurement forked.
 func (b *treeBuilder) emitMeasure(node *treeNode, s *statevec.State, bits []int,
 	st *step, stepIdx int, tapeIdx *int) bool {
-	p1 := s.ProbabilityOne(st.q0)
+	q, _, drop := b.plan.at(st, stepIdx)
+	p1 := s.ProbabilityOne(q)
 	dom := 0
 	op := tapeMeas0
 	if p1 >= 0.5 {
@@ -649,14 +719,14 @@ func (b *treeBuilder) emitMeasure(node *treeNode, s *statevec.State, bits []int,
 		*tapeIdx++
 		b.fork(node, s, bits, entry, dom, pDom, stepIdx, subAfterA, *tapeIdx,
 			func(branch int, bs *statevec.State, bb []int) {
-				bs.Project(st.q0, branch)
+				project(bs, q, branch, drop)
 				bb[st.cbit] = branch
 			})
 		return true
 	}
 	node.tape = append(node.tape, entry)
 	*tapeIdx++
-	s.Project(st.q0, dom)
+	project(s, q, dom, drop)
 	bits[st.cbit] = dom
 	return false
 }
@@ -719,9 +789,10 @@ func (m *Machine) runTrialShared(prog *program, plan *prefixPlan, scratch *state
 		return out
 	}
 	// Divergent from every path through this node: restore the nearest
-	// checkpoint on the followed path at or before the divergent step and
-	// replay the suffix through the legacy loop with a fresh stream
-	// skipped to the checkpoint's draw index.
+	// checkpoint on the followed path at or before the divergent step
+	// (CopyFrom takes its register width; Reset the full one) and replay
+	// the suffix through the legacy loop on the plan's shrinking register,
+	// with a fresh stream skipped to the checkpoint's draw index.
 	ck := node.checkpointBefore(divStep)
 	rr := r.DeriveN("trial", t)
 	rr.Skip(ck.tapeIdx)
@@ -734,7 +805,7 @@ func (m *Machine) runTrialShared(prog *program, plan *prefixPlan, scratch *state
 		scratch.CopyFrom(ck.state)
 		copy(trueBits, ck.bits)
 	}
-	out := m.resumeTrajectory(prog, scratch, trueBits, rr, ck.stepIdx)
+	out := m.resumeTrajectory(prog, plan, scratch, trueBits, rr, ck.stepIdx)
 	tally.div++
 	if testHookPrefix != nil {
 		testHookPrefix(t, node.id, divPos, rr)

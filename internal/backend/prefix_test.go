@@ -254,9 +254,11 @@ func pathNodes(leaf *treeNode) []*treeNode {
 // TestPrefixPlanShape sanity-checks the built tape tree: node ids index
 // plan.nodes, internal nodes fork into two children while leaves carry
 // path bits, per-path checkpoints are strictly ordered with draw
-// indices that count exactly the path draws of earlier steps, tapes are
-// ordered by schedule step, and checkpointBefore returns the tightest
-// on-path checkpoint. The GHZ bench circuit measures an equal
+// indices that count exactly the path draws of earlier steps, each
+// checkpoint's state is as wide as the register at its step (terminal
+// measurements shrink it) and stateBytes sums exactly those widths,
+// tapes are ordered by schedule step, and checkpointBefore returns the
+// tightest on-path checkpoint. The GHZ bench circuit measures an equal
 // superposition, so the plan must actually fork.
 func TestPrefixPlanShape(t *testing.T) {
 	m := noisyMachine(7)
@@ -288,7 +290,8 @@ func TestPrefixPlanShape(t *testing.T) {
 	// Global structure: ids index plan.nodes, internal nodes have both
 	// children with eligible fork ops, leaves have domBits.
 	leaves := 0
-	var stateCkpts int64
+	var ckptBytes int64
+	narrowed := false
 	for i, n := range plan.nodes {
 		if n.id != i {
 			t.Fatalf("node %d has id %d", i, n.id)
@@ -316,16 +319,21 @@ func TestPrefixPlanShape(t *testing.T) {
 			}
 		}
 		for j := range n.ckpts {
-			if n.ckpts[j].state != nil {
-				stateCkpts++
+			if ck := &n.ckpts[j]; ck.state != nil {
+				w := int(plan.reg[ck.stepIdx].width)
+				ckptBytes += 16 << uint(w)
+				narrowed = narrowed || w < prog.nLocal
 			}
 		}
 	}
 	if leaves != len(plan.leaves) {
 		t.Fatalf("plan.leaves has %d entries, tree has %d leaves", len(plan.leaves), leaves)
 	}
-	if plan.stateBytes != stateCkpts*(16<<uint(prog.nLocal)) {
-		t.Fatalf("stateBytes = %d, inconsistent with %d state checkpoints", plan.stateBytes, stateCkpts)
+	if plan.stateBytes != ckptBytes {
+		t.Fatalf("stateBytes = %d, want %d (16 bytes * 2^width summed over state checkpoints)", plan.stateBytes, ckptBytes)
+	}
+	if !narrowed {
+		t.Fatal("no checkpoint lies after a terminal measurement; the width invariant is untested")
 	}
 
 	// Per-path structure. A path's draw sequence is each node's tape
@@ -355,7 +363,7 @@ func TestPrefixPlanShape(t *testing.T) {
 			if cur.stepIdx <= prev.stepIdx || cur.tapeIdx < prev.tapeIdx {
 				t.Fatalf("leaf %d: checkpoints out of order: %d -> %d", leaf.id, prev.stepIdx, cur.stepIdx)
 			}
-			if cur.state == nil || cur.state.N() != prog.nLocal || len(cur.bits) != prog.numClbits {
+			if cur.state == nil || cur.state.N() != int(plan.reg[cur.stepIdx].width) || len(cur.bits) != prog.numClbits {
 				t.Fatalf("leaf %d: checkpoint at step %d malformed", leaf.id, cur.stepIdx)
 			}
 			n := 0

@@ -227,7 +227,7 @@ func (m *Machine) runBatched(prog *program, plan *prefixPlan, trials int, r *rng
 				continue
 			}
 			defers = defers[:0]
-			m.processUnit(prog, u, r, counts, &defers, &tally, maxLanes, cancel)
+			m.processUnit(prog, plan, u, r, counts, &defers, &tally, maxLanes, cancel)
 			if len(defers) > 0 {
 				// Increment before the matching decrement so outstanding
 				// never dips to zero while continuations exist.

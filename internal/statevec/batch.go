@@ -53,11 +53,17 @@ func GetBatch(n, lanes int) *Batch {
 	b.re = b.buf[:size:size]
 	b.im = b.buf[half : half+size : half+size]
 	b.views = make([]State, lanes)
-	for i := range b.views {
-		lo, hi := i<<uint(n), (i+1)<<uint(n)
-		b.views[i] = State{n: n, re: b.re[lo:hi:hi], im: b.im[lo:hi:hi]}
-	}
+	b.carveViews()
 	return b
+}
+
+// carveViews points every lane view at its 2^n-amplitude slot of the
+// flat storage.
+func (b *Batch) carveViews() {
+	for i := range b.views {
+		lo, hi := i<<uint(b.n), (i+1)<<uint(b.n)
+		b.views[i] = State{n: b.n, re: b.re[lo:hi:hi], im: b.im[lo:hi:hi]}
+	}
 }
 
 // Release returns the batch's buffer to the free list. Neither the
@@ -209,4 +215,28 @@ func (b *Batch) Apply2QPermBatch(p Perm4, q0, q1 int) {
 	}
 	re, im := b.flat()
 	flat2QPerm(re, im, 1<<uint(q0), 1<<uint(q1), &p.Src, &c)
+}
+
+// ProjectDrop collapses qubit q of every live lane i onto outcomes[i]
+// and drops q from every lane, each lane exactly as State.ProjectDrop
+// would. The lanes stay back to back at the new stride 2^(n-1), so the
+// flat kernels keep covering every live lane in one pass. Lanes are
+// compacted in ascending order: lane i's kept half lands at or below its
+// own old slot and below lane i+1's, so the pass reads every amplitude
+// before anything overwrites it.
+func (b *Batch) ProjectDrop(q int, outcomes []int) {
+	b.checkQubit(q)
+	if len(outcomes) != b.live {
+		panic(fmt.Sprintf("statevec: ProjectDrop with %d outcomes for %d lanes", len(outcomes), b.live))
+	}
+	half := 1 << uint(b.n-1)
+	for i, k := range outcomes {
+		if k != 0 && k != 1 {
+			panic(fmt.Sprintf("statevec: ProjectDrop with outcome %d", k))
+		}
+		lo, hi := i*half, (i+1)*half
+		projectDrop(b.re[lo:hi:hi], b.im[lo:hi:hi], b.views[i].re, b.views[i].im, 1<<uint(q), k)
+	}
+	b.n--
+	b.carveViews()
 }

@@ -23,6 +23,7 @@ package statevec
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"edm/internal/bitstr"
 	"edm/internal/circuit"
@@ -44,16 +45,28 @@ type State struct {
 	n   int
 	re  []float64
 	im  []float64
-	buf []float64 // owned states: len 2*2^n, re = buf[:2^n], im = buf[2^n:]; nil for lane views
+	buf []float64 // owned states: re = buf[:2^n], im = buf[h:h+2^n] with h = len(buf)/2; nil for lane views
 }
 
 // split carves the re/im views out of a backing buffer of 2*2^n floats.
 func (s *State) split(n int, buf []float64) {
-	size := 1 << uint(n)
-	s.n = n
 	s.buf = buf
-	s.re = buf[:size:size]
-	s.im = buf[size:]
+	s.carve(n)
+}
+
+// carve points re/im at n-qubit views of the owned buffer: re at its
+// start, im at its midpoint. ProjectDrop narrows an owned state in place
+// in this layout, and Reset and CopyFrom re-carve it, so one buffer
+// serves every width up to the one it was allocated for.
+func (s *State) carve(n int) {
+	size := 1 << uint(n)
+	h := len(s.buf) / 2
+	if size > h {
+		panic(fmt.Sprintf("statevec: %d qubits exceed a %d-amplitude buffer", n, h))
+	}
+	s.n = n
+	s.re = s.buf[:size:size]
+	s.im = s.buf[h : h+size : h+size]
 }
 
 // NewState returns the all-zeros computational basis state |0...0>.
@@ -109,8 +122,12 @@ func NewBasisState(b bitstr.BitString) *State {
 func (s *State) N() int { return s.n }
 
 // Reset returns the state to |0...0> in place, so one allocation can be
-// reused across many Monte-Carlo trajectories.
+// reused across many Monte-Carlo trajectories. An owned state narrowed by
+// ProjectDrop gets back the full width its buffer was allocated for.
 func (s *State) Reset() {
+	if s.buf != nil {
+		s.carve(bits.TrailingZeros(uint(len(s.buf) / 2)))
+	}
 	for i := range s.re {
 		s.re[i] = 0
 	}
@@ -138,11 +155,15 @@ func (s *State) Clone() *State {
 // amplitude buffer. It is the restore half of the snapshot API: the
 // backend's trajectory engine clones checkpoint states once per program
 // and restores diverging trials into a reused scratch state with no
-// allocation. The two states must have the same qubit count and must
-// not alias.
+// allocation. An owned s takes src's width if its buffer is large enough
+// (checkpoints taken after ProjectDrop are narrower than the scratch); a
+// Batch lane view must already match it. The two states must not alias.
 func (s *State) CopyFrom(src *State) {
 	if s.n != src.n {
-		panic(fmt.Sprintf("statevec: CopyFrom size mismatch (%d vs %d qubits)", s.n, src.n))
+		if s.buf == nil {
+			panic(fmt.Sprintf("statevec: CopyFrom size mismatch (%d vs %d qubits)", s.n, src.n))
+		}
+		s.carve(src.n)
 	}
 	copy(s.re, src.re)
 	copy(s.im, src.im)
@@ -390,6 +411,56 @@ func (s *State) projectQubit(q, outcome int) {
 	// computes re' = ar*scale - ai*0, im' = ar*0 + ai*scale — the frozen
 	// loop's expressions, zero signs included — through the shared kernel.
 	cscaleRun(s.re, s.im, 1/math.Sqrt(norm), 0)
+}
+
+// ProjectDrop collapses qubit q onto the given outcome and removes q
+// from the register: the amplitudes with qubit q == outcome move down
+// into an (n-1)-qubit state, the qubits above q each shifting down one
+// index. Every kept amplitude is bit-identical to what Project leaves at
+// its old index — the norm sums the same amplitudes in the same order
+// and the renormalization is the same scale — and the amplitudes it
+// omits are Project's exact zeros, so a caller that never touches q
+// again computes the same bits on half the register. An owned state
+// keeps its buffer (Reset and CopyFrom widen it again); Batch lanes drop
+// together through Batch.ProjectDrop, so a lane view panics here.
+func (s *State) ProjectDrop(q, outcome int) {
+	s.checkQubit(q)
+	if outcome != 0 && outcome != 1 {
+		panic(fmt.Sprintf("statevec: ProjectDrop with outcome %d", outcome))
+	}
+	if s.buf == nil {
+		panic("statevec: ProjectDrop on a batch lane view")
+	}
+	projectDrop(s.re, s.im, s.re, s.im, 1<<uint(q), outcome)
+	s.carve(s.n - 1)
+}
+
+// projectDrop gathers the amplitudes of one register (srcR/srcI) whose
+// `bit` equals outcome into dstR/dstI, half as long, and renormalizes
+// them: projectQubit's norm pass and scale on the kept half alone. dst
+// may alias the start of src — every kept amplitude moves to an index at
+// or below its own, and the ascending pass reads each one before any
+// write lands on it.
+func projectDrop(dstR, dstI, srcR, srcI []float64, bit, outcome int) {
+	var norm float64
+	j := 0
+	for blk := outcome * bit; blk < len(srcR); blk += bit << 1 {
+		keepR := srcR[blk : blk+bit : blk+bit]
+		keepI := srcI[blk : blk+bit : blk+bit]
+		outR := dstR[j : j+bit : j+bit]
+		outI := dstI[j : j+bit : j+bit]
+		for i, ar := range keepR {
+			ai := keepI[i]
+			norm += ar*ar + ai*ai
+			outR[i] = ar
+			outI[i] = ai
+		}
+		j += bit
+	}
+	if norm <= 0 {
+		panic("statevec: projection onto zero-probability outcome")
+	}
+	cscaleRun(dstR[:j], dstI[:j], 1/math.Sqrt(norm), 0)
 }
 
 // ApplyKraus1Q applies a one-qubit quantum channel given by Kraus
