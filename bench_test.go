@@ -26,7 +26,8 @@ import (
 // and with the campaign memoization layer on (DESIGN.md §9) every
 // iteration after the first would measure cache hits instead of the
 // compile and simulation work the numbers are frozen against. The
-// cached path is benchmarked end-to-end by scripts/bench_campaign.sh.
+// cached path is benchmarked end-to-end by perfbench's campaign
+// workload.
 // EngineStatevector pins the trajectory engine the same way: frozen
 // baselines must keep measuring statevector work even if a future noise
 // profile makes a schedule fully Clifford and eligible for the

@@ -100,6 +100,10 @@ func main() {
 	}
 	s.K = *k
 	s.Drift = *drift
+	if err := checkScale(s); err != nil {
+		fmt.Fprintf(os.Stderr, "edm: %v\n", err)
+		os.Exit(2)
+	}
 	topo, prof, err := device.ByName(*dev)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "edm: %v\n", err)
@@ -142,6 +146,23 @@ func main() {
 		printCacheStats(os.Stdout)
 	}
 	stopProfiles()
+}
+
+// checkScale rejects campaign scales the experiments cannot run, so a
+// bad flag is a usage error instead of a panic mid-campaign: every
+// experiment needs a positive ensemble size and at least one round, and
+// Fig 9/11 split each policy's trial budget over up to max(k, 6)
+// members (EDM-6), each of which needs a trial.
+func checkScale(s experiment.Setup) error {
+	switch need := max(s.K, 6); {
+	case s.K < 1:
+		return fmt.Errorf("-k %d: ensemble size must be at least 1", s.K)
+	case s.Rounds < 1:
+		return fmt.Errorf("-rounds %d: need at least 1 calibration round", s.Rounds)
+	case s.Trials < need:
+		return fmt.Errorf("-trials %d cannot cover a %d-member ensemble", s.Trials, need)
+	}
+	return nil
 }
 
 // startProfiles arms the requested pprof outputs and returns the hook
@@ -245,8 +266,8 @@ func printEngineStats(out *os.File) {
 	if es.BatchUnits > 0 {
 		meanBatch = float64(es.BatchTrials) / float64(es.BatchUnits)
 	}
-	fmt.Fprintf(out, "  %-14s buckets %-6d units %-6d mean-batch %-6.1f clones %-6d deferred %-4d steals %d\n",
-		"batched", es.BatchBuckets, es.BatchUnits, meanBatch, es.BatchLaneClones, es.BatchDeferredTrials, es.UnitSteals)
+	fmt.Fprintf(out, "  %-14s buckets %-6d units %-6d mean-batch %-6.1f clones %-6d steals %d\n",
+		"batched", es.BatchBuckets, es.BatchUnits, meanBatch, es.BatchLaneClones, es.UnitSteals)
 	fmt.Fprintf(out, "  %-14s programs %-5d fallbacks %-4d prefix-steps %-6d max-words %-3d trials %d\n",
 		"stabilizer", es.StabPrograms, es.StabFallbacks, es.StabPrefixSteps, es.StabMaxWords, es.StabTrials)
 	if es.PlanFallbacks > 0 {

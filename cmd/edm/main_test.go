@@ -1,7 +1,9 @@
 package main
 
 import (
+	"errors"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -9,6 +11,53 @@ import (
 	"edm/internal/experiment"
 	"edm/internal/serve"
 )
+
+// TestMain doubles as the edm binary: invoked with a "--" argument, the
+// test binary runs main on the arguments after it (see runEdm).
+func TestMain(m *testing.M) {
+	for i, a := range os.Args {
+		if a == "--" {
+			os.Args = append([]string{"edm"}, os.Args[i+1:]...)
+			main()
+			os.Exit(0)
+		}
+	}
+	os.Exit(m.Run())
+}
+
+// runEdm runs the CLI in a child process and returns its exit code and
+// stderr.
+func runEdm(t *testing.T, args ...string) (int, string) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], append([]string{"--"}, args...)...)
+	var stderr strings.Builder
+	cmd.Stderr = &stderr
+	var exit *exec.ExitError
+	if err := cmd.Run(); err != nil && !errors.As(err, &exit) {
+		t.Fatalf("edm %v: %v", args, err)
+	}
+	return cmd.ProcessState.ExitCode(), stderr.String()
+}
+
+// TestScaleFlagsAreUsageErrors: campaign scales the experiments cannot
+// run exit 2 with one line on stderr before any experiment starts,
+// instead of reaching a panic (a goroutine dump) mid-campaign.
+func TestScaleFlagsAreUsageErrors(t *testing.T) {
+	for _, args := range [][]string{
+		{"-k", "0", "fig9"},
+		{"-rounds", "0", "fig9"},
+		{"-trials", "0", "fig9"},
+		{"-trials", "-5", "fig9"},
+		{"-trials", "2", "-k", "4", "fig9"},
+		{"-trials", "7", "-k", "8", "fig11"},
+		{"-quick", "-k", "4096", "fig9"},
+	} {
+		code, stderr := runEdm(t, args...)
+		if code != 2 || strings.Count(stderr, "\n") != 1 || !strings.HasPrefix(stderr, "edm: -") {
+			t.Errorf("edm %v: exit %d, stderr %q; want exit 2 and one usage line", args, code, stderr)
+		}
+	}
+}
 
 // microSetup is the smallest campaign that exercises every printer.
 func microSetup() experiment.Setup {

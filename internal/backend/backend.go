@@ -20,6 +20,7 @@
 package backend
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"sync"
@@ -350,32 +351,58 @@ func (p *program) addDamp(cal *device.Calibration, lq, q int, dt float64) {
 // across CPU cores. Below it the goroutine overhead is not worth paying.
 const parallelThreshold = 256
 
-// Run executes the physical circuit for the given number of trials and
-// returns the outcome histogram. The RNG makes the run exactly
+// Run is RunCtx with a context that is never cancelled.
+func (m *Machine) Run(exe *circuit.Circuit, trials int, r *rng.RNG) (*dist.Counts, error) {
+	return m.RunCtx(context.Background(), exe, trials, r)
+}
+
+// RunCtx executes the physical circuit for the given number of trials
+// and returns the outcome histogram. The RNG makes the run exactly
 // reproducible: every trial uses an independent stream derived from its
 // index, so the histogram is identical whether trials run serially or
 // across cores, and whether the compiled program came from the cache or
-// a fresh compile.
-// When EnableRunCache is on, identical (circuit, trials, RNG state)
-// invocations return one shared immutable histogram; the reproducibility
-// contract makes the cached and fresh results bit-identical.
-func (m *Machine) Run(exe *circuit.Circuit, trials int, r *rng.RNG) (*dist.Counts, error) {
+// a fresh compile. When EnableRunCache is on, identical (circuit,
+// trials, RNG state) invocations return one shared immutable histogram;
+// the reproducibility contract makes the cached and fresh results
+// bit-identical.
+//
+// ctx only ever truncates work whose partial histogram is then
+// discarded, so a run that returns is bit-identical whatever ctx is
+// (DESIGN.md §12). A ctx that can never be cancelled simulates on the
+// caller's goroutine with no cancel flag. A cancellable one:
+//
+//   - without the run cache, arms a flag the trial loops poll, so the
+//     call returns ctx.Err() promptly, having wasted only the trials
+//     already simulated;
+//   - with the run cache (the serving configuration), runs the
+//     simulation detached through the cache's singleflight — identical
+//     jobs from other clients wait on the same entry, and the finished
+//     histogram stays warm for the next request — while this caller
+//     detaches with ctx.Err() as soon as its context expires.
+func (m *Machine) RunCtx(ctx context.Context, exe *circuit.Circuit, trials int, r *rng.RNG) (*dist.Counts, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	if trials < 0 {
 		return nil, fmt.Errorf("backend: negative trial count")
 	}
 	if m.runs != nil {
-		e := m.runs.Get(runKey(exe, trials, r), func() *runEntry {
-			counts, err := m.runFresh(exe, trials, r)
+		e, err := m.runs.GetCtx(ctx, runKey(exe, trials, r), func() *runEntry {
+			counts, err := m.runFresh(context.Background(), exe, trials, r)
 			return &runEntry{counts: counts, err: err}
 		})
+		if err != nil {
+			return nil, err
+		}
 		return e.counts, e.err
 	}
-	return m.runFresh(exe, trials, r)
+	return m.runFresh(ctx, exe, trials, r)
 }
 
-// runFresh is the uncached Run body: compile (through the program cache)
-// and simulate.
-func (m *Machine) runFresh(exe *circuit.Circuit, trials int, r *rng.RNG) (*dist.Counts, error) {
+// runFresh is the uncached RunCtx body: compile (through the program
+// cache) and simulate. A cancellable ctx arms the cancel flag the trial
+// loops poll, so a cancelled run abandons its remaining trials promptly.
+func (m *Machine) runFresh(ctx context.Context, exe *circuit.Circuit, trials int, r *rng.RNG) (*dist.Counts, error) {
 	prog, err := m.getProgram(exe)
 	if err != nil {
 		return nil, err
@@ -384,19 +411,28 @@ func (m *Machine) runFresh(exe *circuit.Circuit, trials int, r *rng.RNG) (*dist.
 	if err != nil {
 		return nil, err
 	}
-	return m.runProgram(prog, sp, trials, r, nil), nil
+	var cancel *atomic.Bool
+	if ctx.Done() != nil {
+		cancel = new(atomic.Bool)
+		stop := context.AfterFunc(ctx, func() { cancel.Store(true) })
+		defer stop()
+	}
+	counts := m.runProgram(prog, sp, trials, r, cancel)
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return counts, nil
 }
 
 // runProgram executes a compiled program for the given number of trials.
-// A non-nil cancel flag makes the trial loops stop early once it flips
-// true (the RunCtx path); the partial histogram is then discarded by the
-// caller, so the flag never affects a result that is actually returned.
+// Prefix-planned programs run the batched replay engine (sched.go);
+// stabilizer programs and the legacy loop (EngineLegacy, or a program
+// the tape cannot model) run striped across workers. A non-nil cancel
+// flag makes the trial loops stop early once it flips true; the partial
+// histogram is then discarded by the caller, so the flag never affects a
+// result that is actually returned.
 func (m *Machine) runProgram(prog *program, sp *stabPlan, trials int, r *rng.RNG, cancel *atomic.Bool) *dist.Counts {
-	if sp == nil && batchedReplay {
-		// Prefix-planned programs run the batched replay engine: walk
-		// every trial first, then replay divergent suffixes in shared
-		// batches (sched.go). Legacy machines (plan == nil) and
-		// stabilizer programs keep the striped loops below.
+	if sp == nil {
 		if plan := m.planFor(prog); plan != nil {
 			return m.runBatched(prog, plan, trials, r, cancel)
 		}
@@ -405,9 +441,7 @@ func (m *Machine) runProgram(prog *program, sp *stabPlan, trials int, r *rng.RNG
 		if sp != nil {
 			return m.runStabStripe(prog, sp, start, stride, trials, r, cancel)
 		}
-		// planFor is once-guarded, so calling it per stripe builds at
-		// most one plan.
-		return m.runStripe(prog, m.planFor(prog), start, stride, trials, r, cancel)
+		return m.runStripe(prog, start, stride, trials, r, cancel)
 	}
 	workers := runtime.GOMAXPROCS(0)
 	if trials < parallelThreshold || workers < 2 {
@@ -439,36 +473,24 @@ func (m *Machine) runProgram(prog *program, sp *stabPlan, trials int, r *rng.RNG
 	return counts
 }
 
-// runStripe executes trials start, start+stride, ... reusing one
-// statevector and one classical-bit scratch across all of them. The
-// scratch statevector comes from the process-wide buffer pool, so
-// stripes across runs and workers recycle a handful of buffers. With a
-// non-nil plan, trials go through the prefix-sharing engine; the plan's
-// checkpoints are shared read-only across all stripes. A non-nil cancel
-// flag is polled once per trial — a few nanoseconds against a trial's
-// microseconds — and abandons the stripe when set.
-func (m *Machine) runStripe(prog *program, plan *prefixPlan, start, stride, trials int, r *rng.RNG, cancel *atomic.Bool) *dist.Counts {
+// runStripe executes trials start, start+stride, ... through the legacy
+// loop, reusing one statevector and one classical-bit scratch across
+// all of them. The scratch statevector comes from the process-wide
+// buffer pool, so stripes across runs and workers recycle a handful of
+// buffers. A non-nil cancel flag is polled once per trial — a few
+// nanoseconds against a trial's microseconds — and abandons the stripe
+// when set.
+func (m *Machine) runStripe(prog *program, start, stride, trials int, r *rng.RNG, cancel *atomic.Bool) *dist.Counts {
 	counts := dist.NewCounts(prog.numClbits)
 	scratch := statevec.GetState(prog.nLocal)
 	defer statevec.PutState(scratch)
 	trueBits := make([]int, prog.numClbits)
-	if plan == nil {
-		for t := start; t < trials; t += stride {
-			if cancel != nil && cancel.Load() {
-				break
-			}
-			counts.Observe(m.runTrajectory(prog, scratch, trueBits, r.DeriveN("trial", t)))
-		}
-		return counts
-	}
-	var tally engineTally
 	for t := start; t < trials; t += stride {
 		if cancel != nil && cancel.Load() {
 			break
 		}
-		counts.Observe(m.runTrialShared(prog, plan, scratch, trueBits, r, t, &tally))
+		counts.Observe(m.runTrajectory(prog, scratch, trueBits, r.DeriveN("trial", t)))
 	}
-	tally.flush()
 	return counts
 }
 
@@ -481,60 +503,47 @@ func (m *Machine) RunDist(exe *circuit.Circuit, trials int, r *rng.RNG) (*dist.D
 	return c.Dist(), nil
 }
 
-// runTrajectory executes one trial. s is a statevector owning at least
-// prog.nLocal qubits' worth of buffer and trueBits scratch of size
-// numClbits; both are reset here (s back to the full register, however a
-// dropping replay left it) so callers reuse one allocation across trials.
+// runTrajectory executes one trial of the legacy loop on the full
+// register. s is a statevector owning at least prog.nLocal qubits' worth
+// of buffer and trueBits scratch of size numClbits; both are reset here
+// so callers reuse one allocation across trials.
 func (m *Machine) runTrajectory(prog *program, s *statevec.State, trueBits []int, r *rng.RNG) bitstr.BitString {
 	s.Reset()
 	for i := range trueBits {
 		trueBits[i] = 0
 	}
-	return m.resumeTrajectory(prog, nil, s, trueBits, r, 0)
-}
-
-// resumeTrajectory runs the trajectory loop from schedule step `from` to
-// the end, then applies readout. Callers position s, trueBits, and r at
-// step `from` first: runTrajectory starts from the reset state with a
-// fresh trial stream on the full register (plan nil), the
-// prefix-sharing engine from a restored checkpoint on its plan's
-// shrinking register with the stream skipped to the checkpoint's draw
-// index.
-func (m *Machine) resumeTrajectory(prog *program, plan *prefixPlan, s *statevec.State, trueBits []int, r *rng.RNG, from int) bitstr.BitString {
-	for i := from; i < len(prog.steps); i++ {
+	for i := range prog.steps {
 		st := &prog.steps[i]
-		q0, q1, drop := plan.at(st, i)
 		switch st.kind {
 		case stepU1, stepU2:
-			applyUnitaryStep(s, st, q0, q1)
+			applyUnitaryStep(s, st, st.q0, st.q1)
 		case stepPauli1:
 			if k := noise.SamplePauli1Q(st.p, r); k != 0 {
-				s.Apply1Q(noise.Pauli1Q[k], q0)
+				s.Apply1Q(noise.Pauli1Q[k], st.q0)
 			}
 		case stepPauli2:
 			ka, kb := noise.SamplePauli2Q(st.p, r)
 			if ka != 0 {
-				s.Apply1Q(noise.Pauli1Q[ka], q0)
+				s.Apply1Q(noise.Pauli1Q[ka], st.q0)
 			}
 			if kb != 0 {
-				s.Apply1Q(noise.Pauli1Q[kb], q1)
+				s.Apply1Q(noise.Pauli1Q[kb], st.q1)
 			}
 		case stepDamp:
 			if st.ampK != nil {
-				s.ApplyKraus1Q(st.ampK, q0, r)
+				s.ApplyKraus1Q(st.ampK, st.q0, r)
 			}
 			if st.phK != nil {
-				s.ApplyKraus1Q(st.phK, q0, r)
+				s.ApplyKraus1Q(st.phK, st.q0, r)
 			}
 		case stepMeasure:
-			// State.MeasureQubit's draw, then its projection (or the
-			// terminal project-and-drop).
-			p1 := s.ProbabilityOne(q0)
+			// State.MeasureQubit's draw, then its projection.
+			p1 := s.ProbabilityOne(st.q0)
 			k := 0
 			if r.Float64() < p1 {
 				k = 1
 			}
-			project(s, q0, k, drop)
+			s.Project(st.q0, k)
 			trueBits[st.cbit] = k
 		}
 	}
@@ -553,9 +562,8 @@ func project(s *statevec.State, q, k int, drop bool) {
 
 // applyUnitaryStep dispatches a deterministic unitary step to its fused
 // kernel class, on register qubits q0 (and q1). It is shared by the
-// legacy trial loop, the prefix engine's replay path, and the
-// dominant-path builder, so all three evolve states through identical
-// kernels.
+// legacy trial loop and the dominant-path builder, so both evolve states
+// through identical kernels.
 func applyUnitaryStep(s *statevec.State, st *step, q0, q1 int) {
 	switch st.kind {
 	case stepU1:

@@ -10,13 +10,11 @@ import (
 	"edm/internal/statevec"
 )
 
-// Batched divergent-suffix replay. The sequential prefix engine replays
-// every divergent trial's suffix alone: restore the checkpoint into a
-// scratch statevector, walk the remaining schedule, draw that trial's
-// stochastic branches. Divergences cluster — most divergent trials fall
-// off the dominant path at the same high-probability noise sites — so
-// the per-trial replay re-applies the same deterministic gate runs to
-// the same intermediate states over and over.
+// Batched divergent-suffix replay. Divergences cluster — most divergent
+// trials fall off the dominant path at the same high-probability noise
+// sites — so replaying each divergent trial's suffix alone would
+// re-apply the same deterministic gate runs to the same intermediate
+// states over and over.
 //
 // The batched engine replays a whole bucket of trials breadth-first
 // instead. A replayUnit is a set of trials that diverged under the same
@@ -29,24 +27,21 @@ import (
 // from the still-unmutated lane, and each sub-group continues as an
 // independent group. Every amplitude still sees the exact FP op
 // sequence of a lane-by-lane replay and every trial draws exactly the
-// uniforms the sequential path draws, so Counts stay byte-identical to
-// the legacy loop (pinned by the identity tests).
-
-// batchedReplay gates the batched replay scheduler inside runProgram.
-// It exists for the batched-vs-sequential identity tests and as an
-// escape hatch; the batched path is the default.
-var batchedReplay = true
+// uniforms the legacy loop draws, so Counts stay byte-identical to it
+// (pinned by the identity tests).
+//
+// Lane invariant: the scheduler cuts buckets into units of at most
+// maxLanesFor trials, a unit's batch has one lane per trial, and every
+// live lane carries at least one trial. Groups only split, so the live
+// lanes never outnumber the unit's trials, and a split always finds a
+// free lane.
 
 // maxBatchBytes bounds one unit's batch storage (B·16·2^n bytes for B
 // lanes of n qubits, DESIGN.md §15).
 const maxBatchBytes = 32 << 20
 
-// maxLanesFor returns the lane capacity for a replay unit on n local
-// qubits: as many lanes as fit in maxBatchBytes, clamped to [4, 128].
-// The scheduler also fragments buckets into units of at most this many
-// trials, so a unit can never need more lanes than it has (each lane
-// carries at least one trial) and the deferral path in partitionStoch
-// stays a safety net rather than a steady-state cost.
+// maxLanesFor returns the largest replay unit on n local qubits: as
+// many lanes as fit in maxBatchBytes, clamped to [4, 128].
 func maxLanesFor(n int) int {
 	lanes := maxBatchBytes / (16 << uint(n))
 	if lanes > 128 {
@@ -62,8 +57,8 @@ func maxLanesFor(n int) int {
 // checkpoint to restore and the sorted trial indices to replay from it.
 // Units never carry positioned RNG streams — processUnit re-derives
 // each trial's stream from the run stream and skips it to the
-// checkpoint's draw index, so a unit deferred and reprocessed later
-// redraws the same branches.
+// checkpoint's draw index, so whichever worker runs a unit redraws the
+// same branches.
 type replayUnit struct {
 	ck  *checkpoint
 	ids []int
@@ -99,8 +94,8 @@ type unitState struct {
 // stochOp adapts one stochastic sub-step to the partition engine. prep
 // computes the state-dependent values once per group from its lane
 // (branch probabilities, P(1)); draw consumes exactly the uniforms the
-// sequential path consumes and returns the branch id; apply mutates a
-// lane (and the group's bits) the way the sequential path would for
+// legacy loop consumes and returns the branch id; apply mutates a
+// lane (and the group's bits) the way the legacy loop would for
 // that branch.
 type stochOp struct {
 	prep  func(lane *statevec.State)
@@ -111,7 +106,7 @@ type stochOp struct {
 // batchTally accumulates batched-replay counters inside one worker so
 // the unit loop touches no atomics; the scheduler flushes it once.
 type batchTally struct {
-	units, trials, lanes, clones, deferred, steals int64
+	units, trials, lanes, clones, steals int64
 }
 
 func (t *batchTally) flush() {
@@ -126,9 +121,6 @@ func (t *batchTally) flush() {
 	}
 	if t.clones != 0 {
 		engineStats.batchClones.Add(t.clones)
-	}
-	if t.deferred != 0 {
-		engineStats.batchDeferred.Add(t.deferred)
 	}
 	if t.steals != 0 {
 		engineStats.unitSteals.Add(t.steals)
@@ -170,14 +162,8 @@ func applyUnitaryStepBatch(b *statevec.Batch, st *step, q0, q1 int) {
 // is applied, so every sub-group's lane snapshots the pre-step state.
 // And the keeper branch (the most populated; ties to the smallest id)
 // reuses the group's lane, so a group that does not split does no state
-// copying at all.
-//
-// When the batch has no free lane for a minority branch, that branch's
-// trials are deferred: appended to *defers as a fresh unit on the same
-// checkpoint, to be replayed from scratch later. The keeper branch
-// never defers, so every unit retires at least one trial per pass and
-// deferral terminates.
-func partitionStoch(b *statevec.Batch, us *unitState, op stochOp, ck *checkpoint, defers *[]replayUnit, tally *batchTally) {
+// copying at all. The lane invariant guarantees every clone a lane.
+func partitionStoch(b *statevec.Batch, us *unitState, op stochOp, tally *batchTally) {
 	us.gnext = us.gnext[:0]
 	out := us.swap[:0]
 	for gi := range us.groups {
@@ -231,19 +217,6 @@ func partitionStoch(b *statevec.Batch, us *unitState, op stochOp, ck *checkpoint
 			laneIdx := g.lane
 			bits := g.bits
 			if k != keep {
-				if b.Live() >= b.Cap() {
-					// Lane budget exhausted: replay this branch's trials
-					// from the checkpoint in a continuation unit.
-					du := replayUnit{ck: ck, ids: make([]int, 0, c)}
-					for i := g.start; i < g.end; i++ {
-						if us.branch[i] == k {
-							du.ids = append(du.ids, us.work[i].id)
-						}
-					}
-					*defers = append(*defers, du)
-					tally.deferred += int64(c)
-					continue
-				}
 				laneIdx = b.CloneLane(g.lane)
 				bits = append([]int(nil), g.bits...)
 				tally.clones++
@@ -271,16 +244,13 @@ func partitionStoch(b *statevec.Batch, us *unitState, op stochOp, ck *checkpoint
 
 // processUnit replays one unit's trials from its checkpoint to readout
 // on the plan's shrinking register, observing each trial's outcome into
-// counts. The batch starts at the register width of the checkpoint's
-// step and narrows at every terminal measurement. Overflowing
-// sub-groups are appended to *defers as continuation units. A cancelled
-// run returns early; the caller discards partial counts.
-func (m *Machine) processUnit(prog *program, plan *prefixPlan, u replayUnit, base *rng.RNG, counts *dist.Counts, defers *[]replayUnit, tally *batchTally, maxLanes int, cancel *atomic.Bool) {
+// counts. The batch has one lane per trial, starts at the register
+// width of the checkpoint's step and narrows at every terminal
+// measurement. A cancelled run returns early; the caller discards
+// partial counts.
+func (m *Machine) processUnit(prog *program, plan *prefixPlan, u replayUnit, base *rng.RNG, counts *dist.Counts, tally *batchTally, cancel *atomic.Bool) {
 	ck := u.ck
 	lanes := len(u.ids)
-	if lanes > maxLanes {
-		lanes = maxLanes
-	}
 	b := statevec.GetBatch(int(plan.reg[ck.stepIdx].width), lanes)
 	defer b.Release()
 
@@ -310,7 +280,7 @@ func (m *Machine) processUnit(prog *program, plan *prefixPlan, u replayUnit, bas
 			return
 		}
 		st := &prog.steps[si]
-		q0, q1, drop := plan.at(st, si)
+		q0, q1, drop := plan.at(si)
 		switch st.kind {
 		case stepU1, stepU2:
 			applyUnitaryStepBatch(b, st, q0, q1)
@@ -322,7 +292,7 @@ func (m *Machine) processUnit(prog *program, plan *prefixPlan, u replayUnit, bas
 						lane.Apply1Q(noise.Pauli1Q[k], q0)
 					}
 				},
-			}, ck, defers, tally)
+			}, tally)
 		case stepPauli2:
 			partitionStoch(b, us, stochOp{
 				draw: func(r *rng.RNG) int {
@@ -337,7 +307,7 @@ func (m *Machine) processUnit(prog *program, plan *prefixPlan, u replayUnit, bas
 						lane.Apply1Q(noise.Pauli1Q[kb], q1)
 					}
 				},
-			}, ck, defers, tally)
+			}, tally)
 		case stepDamp:
 			// Plan existence guarantees both Kraus sets have exactly two
 			// operators (buildPrefixPlan falls back otherwise), so each
@@ -354,7 +324,7 @@ func (m *Machine) processUnit(prog *program, plan *prefixPlan, u replayUnit, bas
 					apply: func(lane *statevec.State, _ []int, k int) {
 						lane.ApplyKrausBranch1Q(ks, q0, k, probs[k])
 					},
-				}, ck, defers, tally)
+				}, tally)
 			}
 		case stepMeasure:
 			var p1 float64
@@ -372,7 +342,7 @@ func (m *Machine) processUnit(prog *program, plan *prefixPlan, u replayUnit, bas
 					}
 					bits[st.cbit] = k
 				},
-			}, ck, defers, tally)
+			}, tally)
 			if drop {
 				// Every live lane belongs to exactly one group, whose bits
 				// now hold the lane's outcome: project and drop all lanes
@@ -389,7 +359,12 @@ func (m *Machine) processUnit(prog *program, plan *prefixPlan, u replayUnit, bas
 	for gi := range us.groups {
 		g := &us.groups[gi]
 		for i := g.start; i < g.end; i++ {
-			counts.Observe(m.applyReadout(prog, g.bits, &us.work[i].r))
+			lt := &us.work[i]
+			out := m.applyReadout(prog, g.bits, &lt.r)
+			counts.Observe(out)
+			if testHookReadout != nil {
+				testHookReadout(lt.id, out, &lt.r)
+			}
 		}
 	}
 	tally.units++

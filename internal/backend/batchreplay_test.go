@@ -3,53 +3,14 @@ package backend
 import (
 	"testing"
 
-	"edm/internal/device"
 	"edm/internal/rng"
 )
 
-// TestBatchedReplayByteIdentityWorkloads is the acceptance gate of the
-// batched replay engine against its sequential ancestor: for every
-// workload, the Counts produced by the batched scheduler (walk phase +
-// bucketed suffix replay + work stealing) must be byte-identical to the
-// sequential prefix-sharing stripes, on both the serial path
-// (trials < parallelThreshold) and the parallel path. Together with
-// TestPrefixEngineByteIdentityWorkloads (legacy vs default engine, and
-// the default engine is the batched path) this pins
-// legacy == sequential prefix == batched for every workload. ci.sh
-// re-runs it under -race at GOMAXPROCS=1 and at full width.
-func TestBatchedReplayByteIdentityWorkloads(t *testing.T) {
-	defer func(prev bool) { batchedReplay = prev }(batchedReplay)
-	exes := physicalWorkloads(t)
-	cal := device.Generate(device.Melbourne(), device.MelbourneProfile(), rng.New(5))
-	for name, exe := range exes {
-		for _, trials := range []int{100, 1000} { // serial and parallel
-			batchedReplay = false
-			seq := New(cal)
-			want, err := seq.Run(exe.Circuit, trials, rng.New(42))
-			if err != nil {
-				t.Fatalf("%s sequential run: %v", name, err)
-			}
-			batchedReplay = true
-			bat := New(cal)
-			got, err := bat.Run(exe.Circuit, trials, rng.New(42))
-			if err != nil {
-				t.Fatalf("%s batched run: %v", name, err)
-			}
-			if !countsEqual(want, got) {
-				t.Errorf("%s trials=%d: batched counts differ from sequential replay", name, trials)
-			}
-		}
-	}
-}
-
 // TestBatchedReplayStats pins the occupancy accounting: every divergent
-// trial is replayed through exactly one retiring unit (deferred trials
-// are re-counted only when their continuation completes), units and
-// buckets are formed whenever divergences exist, and lane usage is at
-// least one per unit.
+// trial is replayed through exactly one unit, units and buckets are
+// formed whenever divergences exist, and lane usage is at least one per
+// unit.
 func TestBatchedReplayStats(t *testing.T) {
-	defer func(prev bool) { batchedReplay = prev }(batchedReplay)
-	batchedReplay = true
 	ResetEngineStats()
 	m := noisyMachine(7)
 	exe := benchCircuit(10)

@@ -16,7 +16,7 @@ var benchPath = []int{0, 1, 13, 12, 2, 3, 11, 10, 4, 5, 6, 8, 7}
 
 // benchCircuit returns a GHZ-style chain entangling the first `active`
 // qubits of benchPath (plus qubit 9 when active >= 14), measured in full.
-// It is the representative executable of BENCH_kernels.json: every CX
+// It is the representative executable of the kernel benchmarks: every CX
 // drags in depolarizing, damping, and crosstalk steps, so the compiled
 // schedule exercises all kernel classes.
 func benchCircuit(active int) *circuit.Circuit {
@@ -48,7 +48,8 @@ func benchCircuit(active int) *circuit.Circuit {
 
 // BenchmarkRunTrajectory measures single-trial trajectory execution for
 // representative executables of increasing width. The 14-qubit case is
-// the BENCH_kernels.json headline number.
+// the kernel-throughput headline EXPERIMENTS.md records against the
+// frozen pre-overhaul baseline.
 func BenchmarkRunTrajectory(b *testing.B) {
 	for _, nq := range []int{6, 10, 14} {
 		b.Run(fmt.Sprintf("q%d", nq), func(b *testing.B) {
@@ -72,14 +73,16 @@ func BenchmarkRunTrajectory(b *testing.B) {
 }
 
 // BenchmarkTrajectoryEngine measures per-trial execution of the legacy
-// full-replay loop against the prefix-sharing engine on the same
-// compiled programs. legacy/q14 vs prefix/q14 is the BENCH_trajectory.json
-// headline pair; the prefix sub-benchmarks also report the threshold-tape
-// length and checkpoint memory overhead.
+// full-replay loop against the default engine (batched replay through
+// Machine.Run, plan already built) on the same compiled programs. The
+// batched sub-benchmarks also report the threshold-tape length and
+// checkpoint memory overhead.
 func BenchmarkTrajectoryEngine(b *testing.B) {
 	for _, nq := range []int{6, 10, 14} {
 		m := noisyMachine(7)
-		prog, err := m.getProgram(benchCircuit(nq))
+		m.SetTrajectoryEngine(EngineStatevector)
+		exe := benchCircuit(nq)
+		prog, err := m.getProgram(exe)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -95,24 +98,28 @@ func BenchmarkTrajectoryEngine(b *testing.B) {
 			b.StopTimer()
 			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "trials/s")
 		})
-		b.Run(fmt.Sprintf("prefix/q%d", nq), func(b *testing.B) {
+		b.Run(fmt.Sprintf("batched/q%d", nq), func(b *testing.B) {
+			const trials = 1024
+			if _, err := m.Run(exe, trials, rng.New(11)); err != nil { // builds the plan
+				b.Fatal(err)
+			}
 			plan := m.planFor(prog)
 			if plan == nil {
 				b.Fatal("no prefix plan")
 			}
-			r := rng.New(11)
-			var tally engineTally
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				m.runTrialShared(prog, plan, scratch, trueBits, r, i, &tally)
+				if _, err := m.Run(exe, trials, rng.New(uint64(i))); err != nil {
+					b.Fatal(err)
+				}
 			}
 			b.StopTimer()
 			entries := 0
 			for _, n := range plan.nodes {
 				entries += len(n.tape)
 			}
-			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "trials/s")
+			b.ReportMetric(float64(b.N)*trials/b.Elapsed().Seconds(), "trials/s")
 			b.ReportMetric(float64(entries), "tape-entries")
 			b.ReportMetric(float64(len(plan.leaves)), "leaves")
 			b.ReportMetric(float64(plan.stateBytes)/1024, "ckpt-KiB")

@@ -115,14 +115,13 @@ func randomDropCircuit(seed uint64) *circuit.Circuit {
 	return c
 }
 
-// TestTerminalDropIdentity pins the dropping engines to the full-register
+// TestTerminalDropIdentity pins the dropping engine to the full-register
 // oracle on circuits where dropping happens only partly or runs the
-// register down to width 0: the default engine (batched replay), the
-// sequential tape-tree path and EngineLegacy must produce byte-equal
-// Counts at 100 (serial) and 2000 (parallel) trials. ci.sh runs it in
-// both the trajectory-engine and batched-replay gates.
+// register down to width 0: the default engine (batched replay) and
+// EngineLegacy must produce byte-equal Counts at 100 (serial) and 2000
+// (parallel) trials. ci.sh runs it in both the trajectory-engine and
+// batched-replay gates.
 func TestTerminalDropIdentity(t *testing.T) {
-	defer func(prev bool) { batchedReplay = prev }(batchedReplay)
 	cal := device.Generate(device.Melbourne(), device.MelbourneProfile(), rng.New(5))
 	cases := fixedDropCases()
 	for seed := uint64(1); seed <= 6; seed++ {
@@ -144,17 +143,13 @@ func TestTerminalDropIdentity(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s legacy run: %v", tc.name, err)
 			}
-			for _, batched := range []bool{true, false} {
-				batchedReplay = batched
-				got, err := New(cal).Run(tc.circuit, trials, rng.New(77))
-				if err != nil {
-					t.Fatalf("%s run (batched=%v): %v", tc.name, batched, err)
-				}
-				if !countsEqual(want, got) {
-					t.Errorf("%s (%d trials, batched=%v): Counts differ from EngineLegacy", tc.name, trials, batched)
-				}
+			got, err := New(cal).Run(tc.circuit, trials, rng.New(77))
+			if err != nil {
+				t.Fatalf("%s run: %v", tc.name, err)
 			}
-			batchedReplay = true
+			if !countsEqual(want, got) {
+				t.Errorf("%s (%d trials): Counts differ from EngineLegacy", tc.name, trials)
+			}
 		}
 	}
 }

@@ -64,7 +64,6 @@ import (
 	"sort"
 	"sync/atomic"
 
-	"edm/internal/bitstr"
 	"edm/internal/circuit"
 	"edm/internal/rng"
 	"edm/internal/statevec"
@@ -216,12 +215,8 @@ type regStep struct {
 }
 
 // at returns step i's qubit indices on the register the engine runs and
-// whether the step drops its qubit. A nil plan means the full register
-// of EngineLegacy: the step's own indices and no drops.
-func (p *prefixPlan) at(st *step, i int) (q0, q1 int, drop bool) {
-	if p == nil {
-		return st.q0, st.q1, false
-	}
+// whether the step drops its qubit.
+func (p *prefixPlan) at(i int) (q0, q1 int, drop bool) {
 	r := &p.reg[i]
 	return int(r.q0), int(r.q1), r.drop
 }
@@ -304,7 +299,7 @@ func checkpointSpacing(nSteps int) int {
 
 // Engine counters, surfaced through EngineStatsSnapshot (cmd/edm
 // -cachestats). Plan-level counters cost nothing per trial; trial-level
-// counters are accumulated per stripe and flushed once (runStripe).
+// counters are accumulated per worker and flushed once.
 var engineStats struct {
 	plansBuilt    atomic.Int64
 	planFallbacks atomic.Int64
@@ -320,13 +315,12 @@ var engineStats struct {
 	stabTrials      atomic.Int64
 
 	// Batched replay counters (batchreplay.go / sched.go).
-	batchBuckets  atomic.Int64
-	batchUnits    atomic.Int64
-	batchTrials   atomic.Int64
-	batchLanes    atomic.Int64
-	batchClones   atomic.Int64
-	batchDeferred atomic.Int64
-	unitSteals    atomic.Int64
+	batchBuckets atomic.Int64
+	batchUnits   atomic.Int64
+	batchTrials  atomic.Int64
+	batchLanes   atomic.Int64
+	batchClones  atomic.Int64
+	unitSteals   atomic.Int64
 }
 
 // EngineStats is a snapshot of the trajectory engine's counters.
@@ -361,19 +355,16 @@ type EngineStats struct {
 
 	// Batched-replay occupancy. BatchBuckets counts distinct
 	// (checkpoint) buckets the scheduler formed; BatchUnits counts the
-	// replay units processed (buckets after fragmentation plus deferred
-	// continuations); BatchTrials counts divergent trials replayed
-	// through the batched path, so BatchTrials/BatchUnits is the mean
-	// batch size. BatchLanes is the total live-lane high-water across
-	// units, BatchLaneClones counts lane copies taken when a group split
-	// at a stochastic step, and BatchDeferredTrials counts trials pushed
-	// to a continuation unit because their unit ran out of lanes.
-	BatchBuckets        int64
-	BatchUnits          int64
-	BatchTrials         int64
-	BatchLanes          int64
-	BatchLaneClones     int64
-	BatchDeferredTrials int64
+	// replay units processed (buckets after fragmentation); BatchTrials
+	// counts divergent trials replayed through the batched path, so
+	// BatchTrials/BatchUnits is the mean batch size. BatchLanes is the
+	// total live-lane high-water across units, and BatchLaneClones counts
+	// lane copies taken when a group split at a stochastic step.
+	BatchBuckets    int64
+	BatchUnits      int64
+	BatchTrials     int64
+	BatchLanes      int64
+	BatchLaneClones int64
 	// UnitSteals counts replay units migrated between workers by the
 	// work-stealing scheduler.
 	UnitSteals int64
@@ -394,13 +385,12 @@ func EngineStatsSnapshot() EngineStats {
 		StabMaxWords:       engineStats.stabMaxWords.Load(),
 		StabTrials:         engineStats.stabTrials.Load(),
 
-		BatchBuckets:        engineStats.batchBuckets.Load(),
-		BatchUnits:          engineStats.batchUnits.Load(),
-		BatchTrials:         engineStats.batchTrials.Load(),
-		BatchLanes:          engineStats.batchLanes.Load(),
-		BatchLaneClones:     engineStats.batchClones.Load(),
-		BatchDeferredTrials: engineStats.batchDeferred.Load(),
-		UnitSteals:          engineStats.unitSteals.Load(),
+		BatchBuckets:    engineStats.batchBuckets.Load(),
+		BatchUnits:      engineStats.batchUnits.Load(),
+		BatchTrials:     engineStats.batchTrials.Load(),
+		BatchLanes:      engineStats.batchLanes.Load(),
+		BatchLaneClones: engineStats.batchClones.Load(),
+		UnitSteals:      engineStats.unitSteals.Load(),
 	}
 }
 
@@ -421,12 +411,11 @@ func ResetEngineStats() {
 	engineStats.batchTrials.Store(0)
 	engineStats.batchLanes.Store(0)
 	engineStats.batchClones.Store(0)
-	engineStats.batchDeferred.Store(0)
 	engineStats.unitSteals.Store(0)
 }
 
-// engineTally accumulates per-trial counters inside one stripe so the
-// hot loop touches no atomics; runStripe flushes it once.
+// engineTally accumulates per-trial counters inside one worker so the
+// hot loop touches no atomics; the worker flushes it once.
 type engineTally struct {
 	full int64
 	div  int64
@@ -588,7 +577,7 @@ func (b *treeBuilder) build(node *treeNode, s *statevec.State, bits []int, start
 	prog := b.prog
 	for i := startStep; i < len(prog.steps); i++ {
 		st := &prog.steps[i]
-		q0, q1, _ := b.plan.at(st, i)
+		q0, q1, _ := b.plan.at(i)
 		sub := subStart
 		if i == startStep {
 			sub = startSub
@@ -698,7 +687,7 @@ func (b *treeBuilder) emitKraus(node *treeNode, s *statevec.State, bits []int,
 // measurement forked.
 func (b *treeBuilder) emitMeasure(node *treeNode, s *statevec.State, bits []int,
 	st *step, stepIdx int, tapeIdx *int) bool {
-	q, _, drop := b.plan.at(st, stepIdx)
+	q, _, drop := b.plan.at(stepIdx)
 	p1 := s.ProbabilityOne(q)
 	dom := 0
 	op := tapeMeas0
@@ -731,14 +720,6 @@ func (b *treeBuilder) emitMeasure(node *treeNode, s *statevec.State, bits []int,
 	return false
 }
 
-// testHookPrefix, when set by a test, observes each trial's tape-tree
-// walk: the node where the walk ended (a leaf for fully dominant
-// trials), the path draw index of the first divergent draw or -1 for a
-// fully dominant trial, and the trial stream after its last draw, which
-// the draw-order contract test compares against the legacy loop's
-// stream. Production runs leave it nil.
-var testHookPrefix func(trial, nodeID, divergedAt int, final *rng.RNG)
-
 // walkTape burns a trial stream's uniforms against the tape tree: every
 // tape entry consumes one uniform and is re-evaluated with the live
 // comparison, every fork consumes one uniform and selects a child. It
@@ -746,8 +727,8 @@ var testHookPrefix func(trial, nodeID, divergedAt int, final *rng.RNG)
 // divergent draw (-1 for a fully dominant trial — the node is then a
 // leaf and rt is positioned exactly before the readout draws), and the
 // path draw index of the divergent draw (-1 when dominant). It is the
-// state-free front half of both the sequential trial path
-// (runTrialShared) and the batched replay scheduler's walk phase.
+// batched replay scheduler's walk phase (sched.go): state-free, one
+// comparison per draw.
 func walkTape(plan *prefixPlan, rt *rng.RNG) (node *treeNode, divStep, divPos int) {
 	node = plan.root
 	pos := 0 // path draw index
@@ -766,49 +747,4 @@ func walkTape(plan *prefixPlan, rt *rng.RNG) (node *treeNode, divStep, divPos in
 		node = node.children[node.fork.branch(rt.Float64())]
 		pos++
 	}
-}
-
-// runTrialShared executes one trial through the prefix-sharing engine.
-// It must produce exactly the bits runTrajectory would produce for
-// r.DeriveN("trial", t) — the byte-identity tests enforce this across
-// every workload.
-func (m *Machine) runTrialShared(prog *program, plan *prefixPlan, scratch *statevec.State, trueBits []int, r *rng.RNG, t int, tally *engineTally) bitstr.BitString {
-	rt := r.DeriveN("trial", t)
-	node, divStep, divPos := walkTape(plan, rt)
-	if divStep < 0 {
-		// Fully dominant: the trial shares this leaf's final state, so
-		// only its readout draws are private. rt has consumed exactly as
-		// many uniforms as a live trajectory consumes before readout on
-		// this path.
-		copy(trueBits, node.domBits)
-		out := m.applyReadout(prog, trueBits, rt)
-		tally.full++
-		if testHookPrefix != nil {
-			testHookPrefix(t, node.id, -1, rt)
-		}
-		return out
-	}
-	// Divergent from every path through this node: restore the nearest
-	// checkpoint on the followed path at or before the divergent step
-	// (CopyFrom takes its register width; Reset the full one) and replay
-	// the suffix through the legacy loop on the plan's shrinking register,
-	// with a fresh stream skipped to the checkpoint's draw index.
-	ck := node.checkpointBefore(divStep)
-	rr := r.DeriveN("trial", t)
-	rr.Skip(ck.tapeIdx)
-	if ck.state == nil {
-		scratch.Reset()
-		for i := range trueBits {
-			trueBits[i] = 0
-		}
-	} else {
-		scratch.CopyFrom(ck.state)
-		copy(trueBits, ck.bits)
-	}
-	out := m.resumeTrajectory(prog, plan, scratch, trueBits, rr, ck.stepIdx)
-	tally.div++
-	if testHookPrefix != nil {
-		testHookPrefix(t, node.id, divPos, rr)
-	}
-	return out
 }

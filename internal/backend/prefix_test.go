@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"edm/internal/bitstr"
 	"edm/internal/circuit"
 	"edm/internal/device"
 	"edm/internal/dist"
@@ -131,30 +132,42 @@ func pathDraws(n *treeNode) uint64 {
 	return d
 }
 
-// TestPrefixDrawOrderContract proves the new engine consumes each
+// TestPrefixDrawOrderContract proves the default engine consumes each
 // trial's stream in exactly the same order and count as runTrajectory:
-// for every trial of every workload, the legacy loop and the prefix
-// engine must land the trial stream on the same final state (equal
-// total draw counts from the same derivation base) and produce the same
-// outcome bits. It also checks the engine's internal accounting — a
-// trial that diverged at path draw index i consumed exactly i+1 scan
-// draws — and that the suite exercises fully dominant trials on the
-// root leaf, dominant trials on forked leaves, and divergent trials.
+// for every trial of every workload, the legacy loop and Machine.Run
+// must land the trial stream on the same final state (equal total draw
+// counts from the same derivation base) and produce the same outcome
+// bits. testHookReadout reports each trial's outcome and final stream
+// from the batched engine's two readout sites, exactly once per trial;
+// walkTape reports the node where the trial's walk ended and its
+// divergence index. The test also checks the engine's internal
+// accounting — a fully dominant trial consumes one draw per tape entry
+// and fork on its path plus its readout draws, and a divergent trial
+// diverged inside its node's path — and that the suite exercises fully
+// dominant trials on the root leaf, dominant trials on forked leaves,
+// and divergent trials.
 func TestPrefixDrawOrderContract(t *testing.T) {
 	exes := physicalWorkloads(t)
 	cal := device.Generate(device.Melbourne(), device.MelbourneProfile(), rng.New(5))
 	m := New(cal)
+	m.SetTrajectoryEngine(EngineStatevector)
+
+	const trials = 300
+	type readout struct {
+		calls int
+		out   bitstr.BitString
+		final rng.RNG
+	}
+	var hooked [trials]readout
+	// Workers report distinct trials, so each writes its own element.
+	testHookReadout = func(trial int, out bitstr.BitString, final *rng.RNG) {
+		hooked[trial].calls++
+		hooked[trial].out = out
+		hooked[trial].final = *final
+	}
+	defer func() { testHookReadout = nil }()
 
 	sawDominant, sawForkedDominant, sawDivergent := false, false, false
-	var hookNode, hookDiv int
-	var hookFinal *rng.RNG
-	testHookPrefix = func(_, node, div int, final *rng.RNG) {
-		hookNode = node
-		hookDiv = div
-		hookFinal = final
-	}
-	defer func() { testHookPrefix = nil }()
-
 	// The paper workloads plus a GHZ chain, whose first measurement is an
 	// exact 50/50 branch point — the canonical fork.
 	circuits := map[string]*circuit.Circuit{"ghz-chain": benchCircuit(6)}
@@ -162,8 +175,12 @@ func TestPrefixDrawOrderContract(t *testing.T) {
 		circuits[name] = exe.Circuit
 	}
 
-	const trials = 300
 	for name, exe := range circuits {
+		root := rng.New(99)
+		hooked = [trials]readout{}
+		if _, err := m.Run(exe, trials, root); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
 		prog, err := m.getProgram(exe)
 		if err != nil {
 			t.Fatal(err)
@@ -173,24 +190,19 @@ func TestPrefixDrawOrderContract(t *testing.T) {
 			t.Fatalf("%s: no prefix plan", name)
 		}
 		sLegacy := statevec.NewState(prog.nLocal)
-		sPrefix := statevec.NewState(prog.nLocal)
 		bitsLegacy := make([]int, prog.numClbits)
-		bitsPrefix := make([]int, prog.numClbits)
-		root := rng.New(99)
-		var tally engineTally
 		for trial := 0; trial < trials; trial++ {
 			legacyStream := newCountingStream(root, trial)
 			want := m.runTrajectory(prog, sLegacy, bitsLegacy, legacyStream.r)
 
-			hookFinal = nil
-			got := m.runTrialShared(prog, plan, sPrefix, bitsPrefix, root, trial, &tally)
-			if hookFinal == nil {
-				t.Fatalf("%s trial %d: hook not invoked", name, trial)
+			h := &hooked[trial]
+			if h.calls != 1 {
+				t.Fatalf("%s trial %d: hook invoked %d times, want 1", name, trial, h.calls)
 			}
-			prefixStream := &countingStream{r: hookFinal, base: root.DeriveN("trial", trial).State()}
+			prefixStream := &countingStream{r: &h.final, base: root.DeriveN("trial", trial).State()}
 
-			if want != got {
-				t.Fatalf("%s trial %d: outcome differs (legacy %v, prefix %v)", name, trial, want, got)
+			if want != h.out {
+				t.Fatalf("%s trial %d: outcome differs (legacy %v, prefix %v)", name, trial, want, h.out)
 			}
 			if legacyStream.draws() != prefixStream.draws() {
 				t.Fatalf("%s trial %d: draw count differs (legacy %d, prefix %d)",
@@ -199,13 +211,13 @@ func TestPrefixDrawOrderContract(t *testing.T) {
 			if legacyStream.r.State() != prefixStream.r.State() {
 				t.Fatalf("%s trial %d: final stream state differs", name, trial)
 			}
-			if hookNode < 0 || hookNode >= len(plan.nodes) {
-				t.Fatalf("%s trial %d: hook node id %d out of range", name, trial, hookNode)
+			node, _, div := walkTape(plan, root.DeriveN("trial", trial))
+			if node.id < 0 || node.id >= len(plan.nodes) || plan.nodes[node.id] != node {
+				t.Fatalf("%s trial %d: walk node id %d out of range", name, trial, node.id)
 			}
-			node := plan.nodes[hookNode]
-			if hookDiv < 0 {
+			if div < 0 {
 				if !node.isLeaf() {
-					t.Fatalf("%s trial %d: dominant trial ended on internal node %d", name, trial, hookNode)
+					t.Fatalf("%s trial %d: dominant trial ended on internal node %d", name, trial, node.id)
 				}
 				sawDominant = true
 				if node.depth > 0 {
@@ -226,9 +238,9 @@ func TestPrefixDrawOrderContract(t *testing.T) {
 				}
 			} else {
 				sawDivergent = true
-				if uint64(hookDiv) >= pathDraws(node) {
+				if uint64(div) >= pathDraws(node) {
 					t.Fatalf("%s trial %d: divergence index %d past node %d's path draws",
-						name, trial, hookDiv, hookNode)
+						name, trial, div, node.id)
 				}
 			}
 		}
@@ -417,17 +429,19 @@ func TestPrefixPlanShape(t *testing.T) {
 
 // TestTrialAllocsSteadyState pins the backend's steady-state allocation
 // contract from PR 1: about one allocation per trial (the derived trial
-// stream) on the legacy path, and at most two on the prefix-sharing
-// path (divergent trials derive a second stream to skip to their
-// checkpoint). Regressions here mean a scratch buffer leaked back into
-// the hot loop.
+// stream) on the legacy path. The default engine is bounded end to end
+// through Machine.Run at GOMAXPROCS=1 (AllocsPerRun pins it there):
+// each trial derives its stream, divergent trials derive a second one
+// to skip to their checkpoint, and the walk, bucketing and replay units
+// add a few per trial on this 200-trial run. Regressions here mean a
+// scratch buffer leaked back into the hot loop.
 func TestTrialAllocsSteadyState(t *testing.T) {
 	m := noisyMachine(7)
-	prog, err := m.getProgram(benchCircuit(10))
+	exe := benchCircuit(10)
+	prog, err := m.getProgram(exe)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan := m.planFor(prog)
 	scratch := statevec.NewState(prog.nLocal)
 	trueBits := make([]int, prog.numClbits)
 	root := rng.New(11)
@@ -438,19 +452,18 @@ func TestTrialAllocsSteadyState(t *testing.T) {
 			m.runTrajectory(prog, scratch, trueBits, root.DeriveN("trial", trial))
 		}
 	}
-	var tally engineTally
-	prefixBody := func() {
-		for trial := 0; trial < trials; trial++ {
-			m.runTrialShared(prog, plan, scratch, trueBits, root, trial, &tally)
+	runBody := func() {
+		if _, err := m.Run(exe, trials, root); err != nil {
+			t.Fatal(err)
 		}
 	}
 	legacyBody() // warm up scratch pools and lazily built state
-	prefixBody()
+	runBody()
 
 	if per := testing.AllocsPerRun(10, legacyBody) / trials; per > 1.1 {
 		t.Errorf("legacy path: %.2f allocs/trial, want ~1", per)
 	}
-	if per := testing.AllocsPerRun(10, prefixBody) / trials; per > 2.1 {
-		t.Errorf("prefix path: %.2f allocs/trial, want <= 2", per)
+	if per := testing.AllocsPerRun(10, runBody) / trials; per > 6.5 {
+		t.Errorf("default engine: %.2f allocs/trial, want <= 6.5", per)
 	}
 }

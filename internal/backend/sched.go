@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"edm/internal/bitstr"
 	"edm/internal/dist"
 	"edm/internal/pool"
 	"edm/internal/rng"
@@ -28,12 +29,13 @@ import (
 //
 // Phase B (replay): units are dealt round-robin to per-worker deques.
 // A worker pops from its own deque; an empty worker steals the front
-// half of the first non-empty victim's deque in one batch. Units that
-// overflow their lane budget push continuation units onto the owner's
-// deque. An outstanding-unit counter drives termination.
+// half of the first non-empty victim's deque in one batch. Units never
+// spawn units (the lane invariant, batchreplay.go), so a worker that
+// finds every deque empty is done: work in flight belongs to a worker
+// that will finish it.
 //
 // Determinism: every trial draws from its own derived stream positioned
-// exactly where the sequential engine would position it, and the final
+// exactly where the legacy loop would position it, and the final
 // histogram is a merge of integer counts, which is commutative — so
 // Counts are byte-identical to the legacy loop at any GOMAXPROCS and
 // any steal interleaving.
@@ -95,8 +97,15 @@ func (d *unitDeque) stealHalf(buf []replayUnit) []replayUnit {
 	return buf
 }
 
+// testHookReadout, when set by a test, observes every trial at the
+// engine's two readout sites (phase A's dominant readout and
+// processUnit): the trial index, its outcome, and the trial stream after
+// its last draw, which the draw-order contract test compares against the
+// legacy loop's stream. Production runs leave it nil.
+var testHookReadout func(trial int, out bitstr.BitString, final *rng.RNG)
+
 // runBatched runs `trials` trials of prog through the batched replay
-// engine. Counts are byte-identical to the sequential engines.
+// engine. Counts are byte-identical to the legacy loop.
 func (m *Machine) runBatched(prog *program, plan *prefixPlan, trials int, r *rng.RNG, cancel *atomic.Bool) *dist.Counts {
 	workers := runtime.GOMAXPROCS(0)
 	if trials < parallelThreshold || workers < 2 {
@@ -134,7 +143,11 @@ func (m *Machine) runBatched(prog *program, plan *prefixPlan, trials int, r *rng
 				node, divStep, _ := walkTape(plan, rt)
 				if divStep < 0 {
 					copy(trueBits, node.domBits)
-					counts.Observe(m.applyReadout(prog, trueBits, rt))
+					out := m.applyReadout(prog, trueBits, rt)
+					counts.Observe(out)
+					if testHookReadout != nil {
+						testHookReadout(t, out, rt)
+					}
 					tally.full++
 				} else {
 					divs = append(divs, divTrial{t: t, ck: node.checkpointBefore(divStep)})
@@ -153,7 +166,7 @@ func (m *Machine) runBatched(prog *program, plan *prefixPlan, trials int, r *rng
 	wg.Wait()
 
 	// Bucket by checkpoint and fragment into units of at most the lane
-	// budget, so no unit can run out of lanes however its groups split.
+	// budget (the lane invariant, batchreplay.go).
 	maxLanes := maxLanesFor(prog.nLocal)
 	buckets := make(map[*checkpoint][]int)
 	for _, divs := range divLists {
@@ -193,8 +206,6 @@ func (m *Machine) runBatched(prog *program, plan *prefixPlan, trials int, r *rng
 	for i, u := range units {
 		dq[i%workers].units = append(dq[i%workers].units, u)
 	}
-	var outstanding atomic.Int64
-	outstanding.Store(int64(len(units)))
 	phaseB := func(w int) {
 		defer wg.Done()
 		pool.Acquire()
@@ -202,11 +213,7 @@ func (m *Machine) runBatched(prog *program, plan *prefixPlan, trials int, r *rng
 		counts := partial[w] // merge replay outcomes into the walk histogram
 		var tally batchTally
 		var stolen []replayUnit
-		var defers []replayUnit
-		for {
-			if cancel != nil && cancel.Load() {
-				break
-			}
+		for cancel == nil || !cancel.Load() {
 			u, ok := dq[w].pop()
 			if !ok {
 				stolen = stolen[:0]
@@ -216,25 +223,13 @@ func (m *Machine) runBatched(prog *program, plan *prefixPlan, trials int, r *rng
 					}
 				}
 				if len(stolen) == 0 {
-					if outstanding.Load() == 0 {
-						break
-					}
-					runtime.Gosched()
-					continue
+					break
 				}
 				tally.steals += int64(len(stolen))
 				dq[w].push(stolen...)
 				continue
 			}
-			defers = defers[:0]
-			m.processUnit(prog, plan, u, r, counts, &defers, &tally, maxLanes, cancel)
-			if len(defers) > 0 {
-				// Increment before the matching decrement so outstanding
-				// never dips to zero while continuations exist.
-				outstanding.Add(int64(len(defers)))
-				dq[w].push(defers...)
-			}
-			outstanding.Add(-1)
+			m.processUnit(prog, plan, u, r, counts, &tally, cancel)
 		}
 		tally.flush()
 	}

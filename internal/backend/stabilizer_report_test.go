@@ -10,9 +10,9 @@ import (
 
 	"edm/internal/circuit"
 	"edm/internal/device"
+	"edm/internal/dist"
 	"edm/internal/rng"
 	"edm/internal/stabilizer"
-	"edm/internal/statevec"
 )
 
 // deepCliffordChain builds a dense Clifford circuit on a Linear(n)
@@ -42,13 +42,13 @@ func deepCliffordChain(n, layers int, r *rng.RNG) *circuit.Circuit {
 
 // TestStabilizerBenchReport regenerates BENCH_stabilizer.json (via
 // scripts/bench_stabilizer.sh): per-trial throughput of the tableau
-// engine against the tape-tree statevector engine on Clifford-clean
-// schedules, plus tableau-only throughput on the heavy-hex devices no
-// statevector in this process could represent. Keeping the measurement
-// in Go lets the report assert outcome byte-identity between the
-// engines in the same process that times them, and enforce the >= 10x
-// q12 acceptance bar. It skips unless EDM_BENCH_STABILIZER_OUT names
-// the output file.
+// engine against the tape-tree statevector engine (through Machine.Run)
+// on Clifford-clean schedules, plus tableau-only throughput on the
+// heavy-hex devices no statevector in this process could represent.
+// Keeping the measurement in Go lets the report assert Counts
+// byte-identity between the engines in the same process that times
+// them, and enforce the >= 10x q12 acceptance bar. It skips unless
+// EDM_BENCH_STABILIZER_OUT names the output file.
 func TestStabilizerBenchReport(t *testing.T) {
 	out := os.Getenv("EDM_BENCH_STABILIZER_OUT")
 	if out == "" {
@@ -80,8 +80,8 @@ func TestStabilizerBenchReport(t *testing.T) {
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		Note: "per-trial execution of fully-Clifford compiled schedules: Aaronson-Gottesman " +
 			"tableau engine (DESIGN.md section 13) vs the tape-tree statevector engine " +
-			"(EngineStatevector) on the same programs; heavy-hex rows are tableau-only " +
-			"because the devices exceed the statevector width limit",
+			"(EngineStatevector, timed through Machine.Run) on the same programs; heavy-hex " +
+			"rows are tableau-only because the devices exceed the statevector width limit",
 	}
 
 	// Head-to-head cases: both engines run the same compiled program.
@@ -101,39 +101,40 @@ func TestStabilizerBenchReport(t *testing.T) {
 		if sp == nil {
 			t.Fatalf("q%d: Clifford-clean schedule not converted", tc.nq)
 		}
-		plan := m.planFor(prog)
-		if plan == nil {
-			t.Fatalf("q%d: no tape-tree plan", tc.nq)
-		}
-		scratch := statevec.NewState(prog.nLocal)
+		// The statevector side runs through Machine.Run on the pinned
+		// statevector engine; its first Run builds the tape-tree plan, so
+		// the timed Run measures trials only. The tableau side runs the
+		// same trials one by one.
+		sv := cliffordMachine(tc.nq, uint64(tc.nq))
+		sv.SetTrajectoryEngine(EngineStatevector)
 		tab := stabilizer.New(prog.nLocal)
 		trueBits := make([]int, prog.numClbits)
 		root := rng.New(11)
-		var tally engineTally
-
-		identical := true
-		const accounting = 2000
-		for trial := 0; trial < accounting; trial++ {
-			a := m.runTrialShared(prog, plan, scratch, trueBits, root, trial, &tally)
-			b := m.runStabTrial(prog, sp, tab, trueBits, root.DeriveN("trial", trial))
-			if a != b {
-				identical = false
+		stabRun := func(trials int) *dist.Counts {
+			counts := dist.NewCounts(prog.numClbits)
+			for trial := 0; trial < trials; trial++ {
+				counts.Observe(m.runStabTrial(prog, sp, tab, trueBits, root.DeriveN("trial", trial)))
 			}
+			return counts
 		}
+
+		svCounts, err := sv.Run(c, 2000, root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		identical := countsEqual(svCounts, stabRun(2000))
 		if !identical {
-			t.Errorf("q%d: engines disagree on outcome bits", tc.nq)
+			t.Errorf("q%d: engines disagree on outcome counts", tc.nq)
 		}
 
 		start := time.Now()
-		for trial := 0; trial < tc.trials; trial++ {
-			m.runTrialShared(prog, plan, scratch, trueBits, root, trial, &tally)
+		if _, err := sv.Run(c, tc.trials, root); err != nil {
+			t.Fatal(err)
 		}
 		svS := float64(tc.trials) / time.Since(start).Seconds()
 
 		start = time.Now()
-		for trial := 0; trial < tc.trials; trial++ {
-			m.runStabTrial(prog, sp, tab, trueBits, root.DeriveN("trial", trial))
-		}
+		stabRun(tc.trials)
 		stS := float64(tc.trials) / time.Since(start).Seconds()
 
 		report.Rows = append(report.Rows, row{

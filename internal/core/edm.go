@@ -20,6 +20,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"sync"
@@ -129,25 +130,41 @@ func NewRunner(c *mapper.Compiler, m *backend.Machine) *Runner {
 	return &Runner{Compiler: c, Machine: m}
 }
 
-// Run executes the full EDM pipeline on the logical circuit and returns
-// the per-member outputs and the merged ensemble distribution.
+// Run is RunCtx with a context that is never cancelled.
 func (r *Runner) Run(logical *circuit.Circuit, cfg Config, rr *rng.RNG) (*Result, error) {
+	return r.RunCtx(context.Background(), logical, cfg, rr)
+}
+
+// RunCtx executes the full EDM pipeline on the logical circuit and
+// returns the per-member outputs and the merged ensemble distribution.
+// ctx is threaded through the compile (mapper.TopKCtx) and execution
+// (backend.RunCtx) hot paths; results are bit-identical whenever ctx
+// does not expire, and a cancelled request returns ctx.Err() wrapped
+// with the failing member.
+func (r *Runner) RunCtx(ctx context.Context, logical *circuit.Circuit, cfg Config, rr *rng.RNG) (*Result, error) {
 	if cfg.K <= 0 {
 		return nil, fmt.Errorf("core: ensemble size %d must be positive", cfg.K)
 	}
 	if cfg.Trials < cfg.K {
 		return nil, fmt.Errorf("core: %d trials cannot cover %d members", cfg.Trials, cfg.K)
 	}
-	execs, err := r.Compiler.TopK(logical, cfg.K)
+	execs, err := r.Compiler.TopKCtx(ctx, logical, cfg.K)
 	if err != nil {
 		return nil, err
 	}
-	return r.RunExecutables(execs, cfg, rr)
+	return r.RunExecutablesCtx(ctx, execs, cfg, rr)
 }
 
-// RunExecutables runs a pre-compiled ensemble: cfg.Trials are split as
-// evenly as possible (earlier members receive the remainder), each member
-// executes on the machine, and the outputs are merged per cfg.Weighting.
+// RunExecutables is RunExecutablesCtx with a context that is never
+// cancelled.
+func (r *Runner) RunExecutables(execs []*mapper.Executable, cfg Config, rr *rng.RNG) (*Result, error) {
+	return r.RunExecutablesCtx(context.Background(), execs, cfg, rr)
+}
+
+// RunExecutablesCtx runs a pre-compiled ensemble: cfg.Trials are split
+// as evenly as possible (earlier members receive the remainder), each
+// member executes on the machine, and the outputs are merged per
+// cfg.Weighting. Every member must receive at least one trial.
 //
 // Members run concurrently: each one derives an independent RNG stream
 // from its index before its goroutine starts, and results land in their
@@ -155,10 +172,16 @@ func (r *Runner) Run(logical *circuit.Circuit, cfg Config, rr *rng.RNG) (*Result
 // Member fan-out is capped at GOMAXPROCS, and the backend additionally
 // gates its trial workers through a process-wide token pool, so
 // member-level and trial-level parallelism compose instead of
-// oversubscribing the CPUs.
-func (r *Runner) RunExecutables(execs []*mapper.Executable, cfg Config, rr *rng.RNG) (*Result, error) {
+// oversubscribing the CPUs. Each member's run goes through
+// backend.RunCtx, so an expiring request detaches from (or aborts,
+// depending on the machine's run cache) the remaining simulation
+// instead of blocking until the full trial budget completes.
+func (r *Runner) RunExecutablesCtx(ctx context.Context, execs []*mapper.Executable, cfg Config, rr *rng.RNG) (*Result, error) {
 	if len(execs) == 0 {
 		return nil, fmt.Errorf("core: empty ensemble")
+	}
+	if cfg.Trials < len(execs) {
+		return nil, fmt.Errorf("core: %d trials cannot cover %d members", cfg.Trials, len(execs))
 	}
 	res := &Result{Config: cfg, Members: make([]Member, len(execs))}
 	base := cfg.Trials / len(execs)
@@ -167,9 +190,6 @@ func (r *Runner) RunExecutables(execs []*mapper.Executable, cfg Config, rr *rng.
 	fanout := runtime.GOMAXPROCS(0)
 	if fanout > len(execs) {
 		fanout = len(execs)
-	}
-	if fanout < 1 {
-		fanout = 1
 	}
 	sem := make(chan struct{}, fanout)
 	errs := make([]error, len(execs))
@@ -185,7 +205,7 @@ func (r *Runner) RunExecutables(execs []*mapper.Executable, cfg Config, rr *rng.
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			counts, err := r.Machine.Run(exe.Circuit, trials, mr)
+			counts, err := r.Machine.RunCtx(ctx, exe.Circuit, trials, mr)
 			if err != nil {
 				errs[i] = fmt.Errorf("core: member %d: %w", i, err)
 				return
@@ -199,18 +219,49 @@ func (r *Runner) RunExecutables(execs []*mapper.Executable, cfg Config, rr *rng.
 			return nil, err
 		}
 	}
-	merge(res, cfg)
+	if err := mergeChecked(res, cfg); err != nil {
+		return nil, err
+	}
 	return res, nil
 }
 
-// merge combines member outputs into res.Merged, applying the uniformity
-// filter and the configured weighting, and records per-member weights.
-// Inputs on this path are repository-built, so a merge failure is a
-// programmer error; the serving path uses mergeChecked (ctx.go) instead.
-func merge(res *Result, cfg Config) {
-	if err := mergeChecked(res, cfg); err != nil {
-		panic(err)
+// mergeChecked combines member outputs into res.Merged, applying the
+// uniformity filter and the configured weighting, and records
+// per-member weights. It goes through the error-returning dist entry
+// points, since member sets on the serving path trace back to user
+// payloads.
+func mergeChecked(res *Result, cfg Config) (err error) {
+	kept := make([]int, 0, len(res.Members))
+	if cfg.UniformityFilter > 0 {
+		for i := range res.Members {
+			if res.Members[i].Output.IsNearUniform(cfg.UniformityFilter) {
+				res.Members[i].Discarded = true
+			} else {
+				kept = append(kept, i)
+			}
+		}
 	}
+	if len(kept) == 0 {
+		kept = kept[:0]
+		for i := range res.Members {
+			res.Members[i].Discarded = false
+			kept = append(kept, i)
+		}
+	}
+	dists := make([]*dist.Dist, len(kept))
+	for j, i := range kept {
+		dists[j] = res.Members[i].Output
+	}
+	weights := MergeWeights(dists, cfg.Weighting)
+	var total float64
+	for _, w := range weights {
+		total += w
+	}
+	for j, i := range kept {
+		res.Members[i].Weight = weights[j] / total
+	}
+	res.Merged, err = dist.WeightedMergeChecked(dists, weights)
+	return err
 }
 
 // MergeWeights returns the raw (unnormalized) member weights for the

@@ -113,6 +113,16 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := r.RunExecutables(nil, DefaultConfig(), rng.New(1)); err == nil {
 		t.Fatal("empty ensemble accepted")
 	}
+	// Fewer trials than members would hand a member zero trials, whose
+	// empty histogram cannot normalize: the ensemble must error before
+	// any member starts.
+	execs, err := r.Compiler.TopK(workloads.BV("111011").Circuit, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.RunExecutables(execs, Config{K: 2, Trials: 1}, rng.New(1)); err == nil {
+		t.Fatal("1 trial over 2 members accepted")
+	}
 }
 
 func TestMergeWeightsSchemes(t *testing.T) {
@@ -165,7 +175,9 @@ func TestUniformityFilter(t *testing.T) {
 		{Output: dist.Uniform(2)},
 	}}
 	cfg := Config{K: 2, Trials: 100, Weighting: WeightUniform, UniformityFilter: 0.2}
-	merge(res, cfg)
+	if err := mergeChecked(res, cfg); err != nil {
+		t.Fatal(err)
+	}
 	if !res.Members[1].Discarded {
 		t.Fatal("uniform member not discarded")
 	}
@@ -180,7 +192,9 @@ func TestUniformityFilter(t *testing.T) {
 		{Output: dist.Uniform(2)},
 		{Output: dist.Uniform(2)},
 	}}
-	merge(res2, cfg)
+	if err := mergeChecked(res2, cfg); err != nil {
+		t.Fatal(err)
+	}
 	if res2.Members[0].Discarded || res2.Members[1].Discarded {
 		t.Fatal("filter discarded the whole ensemble")
 	}
@@ -250,7 +264,9 @@ func TestEDMImprovesMedianIST(t *testing.T) {
 			t.Fatal(err)
 		}
 		wres := &Result{Members: res.Members, Config: res.Config}
-		merge(wres, Config{K: 4, Trials: 4096, Weighting: WeightDivergence})
+		if err := mergeChecked(wres, Config{K: 4, Trials: 4096, Weighting: WeightDivergence}); err != nil {
+			t.Fatal(err)
+		}
 		baseISTs = append(baseISTs, base.Output.IST(w.Correct))
 		edmISTs = append(edmISTs, res.Merged.IST(w.Correct))
 		wedmISTs = append(wedmISTs, wres.Merged.IST(w.Correct))

@@ -8,10 +8,10 @@ import (
 	"edm/internal/workloads"
 )
 
-// The benchmark bodies in this file are frozen: scripts/bench_compiler.sh
-// compares their current timings against the baseline block recorded at
-// the commit before the compilation-pipeline overhaul, so the measured
-// work per iteration must not change.
+// The benchmark bodies in this file are frozen: EXPERIMENTS.md compares
+// their timings (go test -bench 'TopK|SingleBest|NewCompiler') against
+// the baseline recorded at the commit before the compilation-pipeline
+// overhaul, so the measured work per iteration must not change.
 
 func benchCal() *device.Calibration {
 	return device.Generate(device.Melbourne(), device.MelbourneProfile(), rng.New(2019))

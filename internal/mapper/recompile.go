@@ -1,6 +1,7 @@
 package mapper
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -225,27 +226,45 @@ func (t *Tracking) diffFor(prevGen uint64) device.CalDiff {
 	return device.CalDiff{Tol: t.tol, Global: true, Stats: device.DiffStats{Global: true}}
 }
 
-// TopK is mapper.Compiler.TopK through the tracked, incrementally
+// TopK is TopKCtx with a context that is never cancelled.
+func (t *Tracking) TopK(logical *circuit.Circuit, k int) ([]*Executable, error) {
+	return t.TopKCtx(context.Background(), logical, k)
+}
+
+// TopKCtx is mapper.Compiler.TopK through the tracked, incrementally
 // recompiled pools. Results are bit-identical to
 // CachedCompiler(cal).TopK for the current calibration when the mode is
-// RecompileChecked (or RecompileOff).
-func (t *Tracking) TopK(logical *circuit.Circuit, k int) ([]*Executable, error) {
+// RecompileChecked (or RecompileOff). With a cancellable ctx, pool
+// builds and incremental upgrades run detached through the
+// generation-tagged cache while cancelled callers detach, preserving the
+// one-build-per-(circuit fingerprint, calibration generation) invariant
+// the serving layer advertises.
+func (t *Tracking) TopKCtx(ctx context.Context, logical *circuit.Circuit, k int) ([]*Executable, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	if k <= 0 {
 		return nil, fmt.Errorf("mapper: k must be positive")
 	}
-	pe := t.poolFor(logical)
-	if pe.err != nil {
-		return nil, pe.err
+	pe, err := t.poolFor(ctx, logical)
+	if err != nil {
+		return nil, err
 	}
 	return pe.topK(k)
 }
 
+// PoolStats snapshots this Tracking's generation-tagged pool cache
+// counters. One miss per (circuit fingerprint, generation) is the
+// serving layer's one-compile invariant; the serving metrics endpoint
+// exposes these numbers.
+func (t *Tracking) PoolStats() memo.Stats { return t.pools.Stats() }
+
 // poolFor serves the circuit's pool at the current generation, building
 // it fresh on first sight and upgrading it through recompilePool when a
 // previous generation's pool is cached.
-func (t *Tracking) poolFor(logical *circuit.Circuit) *poolEntry {
+func (t *Tracking) poolFor(ctx context.Context, logical *circuit.Circuit) (*poolEntry, error) {
 	c, gen := t.cur, t.gen
-	return t.pools.GetGen(circuitKey(logical), gen,
+	return t.pools.GetGenCtx(ctx, circuitKey(logical), gen,
 		func() *poolEntry {
 			pe := c.buildPool(logical)
 			pe.gen = gen
@@ -268,7 +287,7 @@ func (t *Tracking) poolFor(logical *circuit.Circuit) *poolEntry {
 // any unmatched candidate's ESP, so structural divergence always
 // registers): the routed-ESP gap RecompileFast trades for speed.
 func (t *Tracking) CrossCheck(logical *circuit.Circuit) (identical bool, maxESPDelta float64, err error) {
-	pe := t.poolFor(logical)
+	pe, _ := t.poolFor(context.Background(), logical) // cannot fail uncancelled
 	fresh := t.cur.buildPool(logical)
 	if pe.err != nil || fresh.err != nil {
 		same := pe.err != nil && fresh.err != nil && pe.err.Error() == fresh.err.Error()

@@ -2,10 +2,8 @@ package mapper
 
 import (
 	"encoding/json"
-	"fmt"
 	"math"
 	"os"
-	"path/filepath"
 	"testing"
 	"time"
 
@@ -23,8 +21,8 @@ import (
 //     at least one SWAP-heavy workload (the hybrid route() guarantees
 //     per-workload ratio >= 1 structurally; see
 //     TestRouterNeverWorseThanGreedy);
-//   - TopK(k=4) latency no worse than the PR 2 numbers recorded in
-//     BENCH_compiler.json.
+//   - TopK(k=4) latency no worse than the streaming-VF2 pipeline's
+//     numbers in EXPERIMENTS.md ("Compilation latency").
 func TestRouterBenchReport(t *testing.T) {
 	out := os.Getenv("EDM_BENCH_ROUTER_OUT")
 	if out == "" {
@@ -42,12 +40,10 @@ func TestRouterBenchReport(t *testing.T) {
 		Router       side    `json:"router"`
 		ESPRatio     float64 `json:"esp_ratio"`
 		TopK4NsPerOp int64   `json:"topk4_ns_per_op"`
-		TopK4PR2     int64   `json:"topk4_pr2_ns_per_op,omitempty"`
 	}
 
 	cal := benchCal()
 	comp := NewCompiler(cal)
-	pr2 := loadPR2TopK(t)
 
 	var rows []row
 	geoSum := 0.0
@@ -104,10 +100,9 @@ func TestRouterBenchReport(t *testing.T) {
 			Router:       side{Swaps: rtd.Swaps, ESP: rtd.ESP, NsPerOp: routerNs},
 			ESPRatio:     ratio,
 			TopK4NsPerOp: topkNs,
-			TopK4PR2:     pr2[w.Name],
 		})
-		t.Logf("%-12s swaps %2d -> %2d  esp ratio %.4f  compile %7dns -> %7dns  topk4 %dns (pr2 %dns)",
-			w.Name, grd.Swaps, rtd.Swaps, ratio, greedyNs, routerNs, topkNs, pr2[w.Name])
+		t.Logf("%-12s swaps %2d -> %2d  esp ratio %.4f  compile %7dns -> %7dns  topk4 %dns",
+			w.Name, grd.Swaps, rtd.Swaps, ratio, greedyNs, routerNs, topkNs)
 	}
 
 	report := struct {
@@ -127,7 +122,7 @@ func TestRouterBenchReport(t *testing.T) {
 		Rows:        rows,
 		GeoMeanESP:  math.Exp(geoSum / float64(len(rows))),
 		Strictly:    strictlyBetter,
-		Note:        "compile_ns_per_op is place+route end to end, min of 3 benchmark runs; topk4_pr2_ns_per_op is the after_ns_per_op recorded in BENCH_compiler.json (PR 2)",
+		Note:        "compile_ns_per_op is place+route end to end, min of 3 benchmark runs",
 	}
 	if report.GeoMeanESP < 1-bbEps {
 		t.Errorf("geo-mean ESP ratio %.6f < 1: router regressed below the greedy baseline", report.GeoMeanESP)
@@ -158,32 +153,4 @@ func minBenchNs(f func(b *testing.B)) int64 {
 		}
 	}
 	return best
-}
-
-// loadPR2TopK reads the TopK after-numbers from BENCH_compiler.json so
-// the router report can show the wall-clock bar it is held to.
-func loadPR2TopK(t *testing.T) map[string]int64 {
-	t.Helper()
-	buf, err := os.ReadFile(filepath.Join("..", "..", "BENCH_compiler.json"))
-	if err != nil {
-		t.Logf("BENCH_compiler.json unavailable (%v); omitting PR2 columns", err)
-		return nil
-	}
-	var doc struct {
-		Entries []struct {
-			Name    string `json:"name"`
-			AfterNs int64  `json:"after_ns_per_op"`
-		} `json:"entries"`
-	}
-	if err := json.Unmarshal(buf, &doc); err != nil {
-		t.Fatalf("BENCH_compiler.json: %v", err)
-	}
-	out := map[string]int64{}
-	for _, e := range doc.Entries {
-		var name string
-		if _, err := fmt.Sscanf(e.Name, "TopK/%s", &name); err == nil {
-			out[name] = e.AfterNs
-		}
-	}
-	return out
 }

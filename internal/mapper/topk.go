@@ -1,6 +1,7 @@
 package mapper
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -454,6 +455,22 @@ func dedupeByLayout(cs []*candidate) []*candidate {
 // exactly), and the returned executables are shared immutable values —
 // callers must not mutate them.
 func (c *Compiler) TopK(logical *circuit.Circuit, k int) ([]*Executable, error) {
+	return c.TopKCtx(context.Background(), logical, k)
+}
+
+// TopKCtx is TopK with request cancellation, the serving-path entry
+// point. On a compiler with an ensemble cache the candidate-pool build
+// runs through the cache's singleflight: with a cancellable ctx it runs
+// detached — a cancelled client detaches with ctx.Err() while the pool
+// completes and stays warm for the concurrent and future requests that
+// keyed the same circuit fingerprint — so exactly one compile runs per
+// fingerprint no matter how many clients race or abandon it. A ctx that
+// can never be cancelled builds on the caller's goroutine. Results are
+// bit-identical to TopK whenever ctx does not expire.
+func (c *Compiler) TopKCtx(ctx context.Context, logical *circuit.Circuit, k int) ([]*Executable, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	if err := c.widthErr(); err != nil {
 		return nil, err
 	}
@@ -461,22 +478,28 @@ func (c *Compiler) TopK(logical *circuit.Circuit, k int) ([]*Executable, error) 
 		return nil, fmt.Errorf("mapper: k must be positive")
 	}
 	if k == 1 {
-		if c.ens != nil {
-			be := c.ens.best.Get(circuitKey(logical), func() *bestEntry {
-				exes, err := c.buildSingleBest(logical)
-				return &bestEntry{exes: exes, err: err}
-			})
-			return be.exes, be.err
+		if c.ens == nil {
+			return c.buildSingleBest(logical)
 		}
-		return c.buildSingleBest(logical)
-	}
-	if c.ens != nil {
-		pe := c.ens.pools.Get(circuitKey(logical), func() *poolEntry {
-			return c.buildPool(logical)
+		be, err := c.ens.best.GetCtx(ctx, circuitKey(logical), func() *bestEntry {
+			exes, err := c.buildSingleBest(logical)
+			return &bestEntry{exes: exes, err: err}
 		})
-		return pe.topK(k)
+		if err != nil {
+			return nil, err
+		}
+		return be.exes, be.err
 	}
-	return c.buildPool(logical).topK(k)
+	if c.ens == nil {
+		return c.buildPool(logical).topK(k)
+	}
+	pe, err := c.ens.pools.GetCtx(ctx, circuitKey(logical), func() *poolEntry {
+		return c.buildPool(logical)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return pe.topK(k)
 }
 
 // buildPool runs the full candidate pipeline for one circuit: compile,

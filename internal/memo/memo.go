@@ -69,7 +69,7 @@ func (c *Counters) Stats() Stats {
 // entry is one cache slot. done is closed when val is ready; a build that
 // panicked records the panic value instead and re-raises it in every
 // waiter. gen is the generation the entry was built at (always 0 for
-// plain Get; see GetGen).
+// plain Get; see GetGenCtx).
 type entry[V any] struct {
 	done     chan struct{}
 	val      V
@@ -130,73 +130,121 @@ func NewChecked[V any](capacity int, ctr *Counters) (*Cache[V], error) {
 // Get returns the cached value for key, building it with build on a miss.
 // Concurrent Gets for the same key run build once; the rest wait for the
 // winner. If build panics, the panic propagates to the builder and every
-// waiter, and the key is removed so a later Get retries.
-func (c *Cache[V]) Get(key uint64, build func() V) V {
-	c.mu.Lock()
-	if e, ok := c.entries[key]; ok {
-		select {
-		case <-e.done:
-			c.ctr.hits.Add(1)
-		default:
-			c.ctr.waits.Add(1)
-		}
-		c.mu.Unlock()
-		<-e.done
-		if e.panicked != nil {
-			panic(e.panicked)
-		}
-		return e.val
-	}
-	e := &entry[V]{done: make(chan struct{})}
-	c.ctr.misses.Add(1)
-	c.ctr.inserts.Add(1)
-	c.evictOldestLocked()
-	c.entries[key] = e
-	c.ring[(c.head+c.n)%c.cap] = key
-	c.n++
-	c.mu.Unlock()
+// waiter, and the key is removed so a later Get retries. Get is GetGen at
+// generation 0.
+func (c *Cache[V]) Get(key uint64, build func() V) V { return c.GetGen(key, 0, build, nil) }
 
-	return c.runBuild(key, e, build)
+// GetCtx is Get with cancellation, GetGenCtx at generation 0.
+func (c *Cache[V]) GetCtx(ctx context.Context, key uint64, build func() V) (V, error) {
+	return c.GetGenCtx(ctx, key, 0, build, nil)
 }
 
-// GetCtx is Get with cancellation: a caller whose ctx expires while the
-// value is being built detaches and returns ctx.Err() without waiting.
-// The build itself is never cancelled — it runs detached to completion
-// and publishes its value for every other (and future) caller, so a
-// request timeout can never poison the entry. This is the serving-path
-// variant of Get: one client abandoning a job must not invalidate the
-// work for the clients still waiting on it.
-//
-// A build that panics records the panic and re-raises it in every caller
-// that observes the entry, exactly as Get does; if every caller has
-// detached, the panic is dropped with the entry (the next Get retries).
-// With a ctx that can never be cancelled, GetCtx is exactly Get.
-func (c *Cache[V]) GetCtx(ctx context.Context, key uint64, build func() V) (V, error) {
-	if ctx.Done() == nil {
-		return c.Get(key, build), nil
-	}
-	c.mu.Lock()
-	if e, ok := c.entries[key]; ok {
-		select {
-		case <-e.done:
-			c.ctr.hits.Add(1)
-		default:
-			c.ctr.waits.Add(1)
-		}
-		c.mu.Unlock()
-		return waitEntry(ctx, e)
-	}
-	e := &entry[V]{done: make(chan struct{})}
-	c.ctr.misses.Add(1)
-	c.ctr.inserts.Add(1)
-	c.evictOldestLocked()
-	c.entries[key] = e
-	c.ring[(c.head+c.n)%c.cap] = key
-	c.n++
-	c.mu.Unlock()
+// GetGen is GetGenCtx with a context that is never cancelled.
+func (c *Cache[V]) GetGen(key, gen uint64, build func() V, upgrade func(stale V) V) V {
+	return value(c.GetGenCtx(context.Background(), key, gen, build, upgrade))
+}
 
-	go c.runBuildDetached(key, e, build)
-	return waitEntry(ctx, e)
+// value drops the error a never-cancelled context cannot produce.
+func value[V any](v V, _ error) V { return v }
+
+// GetGenCtx is the cache's one lookup path: Get with generation-tagged
+// entries and cancellation. Generations are the invalidation mechanism
+// behind drift-aware incremental recompilation (DESIGN.md §11). An entry
+// is valid only for the generation it was built at:
+//
+//   - matching generation: a hit, or a singleflight wait on the
+//     in-flight build;
+//   - absent key: a miss built with build;
+//   - stale completed entry: replaced in place — counted as one eviction
+//     plus one miss/insert pair, keeping its FIFO ring slot — by an
+//     in-flight entry whose value upgrade(stale) builds, so callers can
+//     rebuild incrementally from the previous generation's value. The
+//     stale value becomes unreachable the moment the replacement is
+//     published; no waiter ever observes a value from another
+//     generation.
+//   - stale in-flight entry: callers wait for that build to finish
+//     (counted as a wait) and retry, so at most one build runs per
+//     (key, generation).
+//
+// A nil upgrade, or a stale entry left by a panicked build, falls back
+// to build. Generations are expected to be monotone per key; racing
+// different generations on one key is last-writer-wins.
+//
+// With a ctx that can never be cancelled the build runs on the caller's
+// goroutine, and a panicking build propagates to the builder and every
+// waiter and removes the key so a later call retries. A cancellable ctx
+// is the serving path (DESIGN.md §12): the build runs detached to
+// completion and publishes its value for every other (and future)
+// caller, while a caller whose ctx expires detaches with ctx.Err(), so a
+// request timeout can never poison the entry — one client abandoning a
+// job must not invalidate the work for the clients still waiting on it.
+// A detached build that panics records the panic and re-raises it in
+// every caller that observes the entry; if every caller has detached,
+// the panic is dropped with the entry (the next call retries).
+func (c *Cache[V]) GetGenCtx(ctx context.Context, key, gen uint64, build func() V, upgrade func(stale V) V) (V, error) {
+	for {
+		c.mu.Lock()
+		e, ok := c.entries[key]
+		if ok && e.gen == gen {
+			select {
+			case <-e.done:
+				c.ctr.hits.Add(1)
+			default:
+				c.ctr.waits.Add(1)
+			}
+			c.mu.Unlock()
+			return waitEntry(ctx, e)
+		}
+		if ok {
+			select {
+			case <-e.done:
+			default:
+				// A stale generation is still building. Its waiters need
+				// that value; we need this generation's. Wait it out (or
+				// detach) and retry so the two builds never run
+				// concurrently.
+				c.ctr.waits.Add(1)
+				c.mu.Unlock()
+				select {
+				case <-e.done:
+				case <-ctx.Done():
+					var zero V
+					return zero, ctx.Err()
+				}
+				continue
+			}
+		}
+		ne := &entry[V]{done: make(chan struct{}), gen: gen}
+		c.ctr.misses.Add(1)
+		c.ctr.inserts.Add(1)
+		var stale *entry[V]
+		if ok {
+			// Replace the stale entry in place: it keeps its ring slot, so
+			// the live-entry/ring-slot invariant of evictOldestLocked holds
+			// and the key keeps its original FIFO age.
+			stale = e
+			c.ctr.evictions.Add(1)
+		} else {
+			c.evictOldestLocked()
+			c.ring[(c.head+c.n)%c.cap] = key
+			c.n++
+		}
+		c.entries[key] = ne
+		c.mu.Unlock()
+
+		fill := func() V {
+			if stale != nil && stale.panicked == nil && upgrade != nil {
+				return upgrade(stale.val)
+			}
+			return build()
+		}
+		if ctx.Done() == nil {
+			c.runBuild(key, ne, fill, true)
+		} else {
+			go c.runBuild(key, ne, fill, false)
+		}
+		return waitEntry(ctx, ne)
+	}
 }
 
 // waitEntry waits for an in-flight entry with cancellation. A completed
@@ -219,31 +267,13 @@ func waitEntry[V any](ctx context.Context, e *entry[V]) (V, error) {
 	return e.val, nil
 }
 
-// runBuildDetached is runBuild for builds owned by the cache rather than
-// the calling goroutine: a panic is recorded and published to waiters
-// (who re-raise it) but not re-raised here, where it would kill the
-// process from a goroutine no caller owns.
-func (c *Cache[V]) runBuildDetached(key uint64, e *entry[V], build func() V) {
-	defer func() {
-		if r := recover(); r != nil {
-			e.panicked = r
-			close(e.done)
-			c.mu.Lock()
-			if c.entries[key] == e {
-				delete(c.entries, key)
-				c.ctr.evictions.Add(1)
-			}
-			c.mu.Unlock()
-		}
-	}()
-	e.val = build()
-	close(e.done)
-}
-
 // runBuild executes build for a freshly inserted in-flight entry,
 // publishing the value (or the panic) to every waiter. A panicking build
-// removes the entry so a later Get retries.
-func (c *Cache[V]) runBuild(key uint64, e *entry[V], build func() V) V {
+// removes the entry so a later call retries, and is re-raised here only
+// when the caller's goroutine runs the build (rethrow): a detached build
+// is owned by the cache, and a panic there would kill the process from a
+// goroutine no caller owns.
+func (c *Cache[V]) runBuild(key uint64, e *entry[V], build func() V, rethrow bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			e.panicked = r
@@ -254,156 +284,13 @@ func (c *Cache[V]) runBuild(key uint64, e *entry[V], build func() V) V {
 				c.ctr.evictions.Add(1)
 			}
 			c.mu.Unlock()
-			panic(r)
+			if rethrow {
+				panic(r)
+			}
 		}
 	}()
 	e.val = build()
 	close(e.done)
-	return e.val
-}
-
-// GetGen is Get with generation-tagged entries, the invalidation
-// mechanism behind drift-aware incremental recompilation (DESIGN.md
-// §11). An entry is valid only for the generation it was built at:
-//
-//   - matching generation: a hit (or a singleflight wait, exactly as in
-//     Get);
-//   - absent key: a miss built with build;
-//   - stale completed entry: replaced in place — counted as one eviction
-//     plus one miss/insert pair, keeping its FIFO ring slot — by an
-//     in-flight entry whose value upgrade(stale) builds, so callers can
-//     rebuild incrementally from the previous generation's value. The
-//     stale value becomes unreachable the moment the replacement is
-//     published; no waiter ever observes a value from another
-//     generation.
-//   - stale in-flight entry: callers wait for that build to finish
-//     (counted as a wait) and retry, so at most one build runs per
-//     (key, generation).
-//
-// A nil upgrade, or a stale entry left by a panicked build, falls back
-// to build. Generations are expected to be monotone per key; racing
-// different generations on one key is last-writer-wins. Panics propagate
-// exactly as in Get. Mixing Get and GetGen on the same key is not
-// supported (Get ignores generations).
-func (c *Cache[V]) GetGen(key, gen uint64, build func() V, upgrade func(stale V) V) V {
-	for {
-		c.mu.Lock()
-		e, ok := c.entries[key]
-		if ok && e.gen == gen {
-			select {
-			case <-e.done:
-				c.ctr.hits.Add(1)
-			default:
-				c.ctr.waits.Add(1)
-			}
-			c.mu.Unlock()
-			<-e.done
-			if e.panicked != nil {
-				panic(e.panicked)
-			}
-			return e.val
-		}
-		if ok {
-			select {
-			case <-e.done:
-			default:
-				// A stale generation is still building. Its waiters need
-				// that value; we need this generation's. Wait it out and
-				// retry so the two builds never run concurrently.
-				c.ctr.waits.Add(1)
-				c.mu.Unlock()
-				<-e.done
-				continue
-			}
-		}
-		ne := &entry[V]{done: make(chan struct{}), gen: gen}
-		c.ctr.misses.Add(1)
-		c.ctr.inserts.Add(1)
-		var stale *entry[V]
-		if ok {
-			// Replace the stale entry in place: it keeps its ring slot, so
-			// the live-entry/ring-slot invariant of evictOldestLocked holds
-			// and the key keeps its original FIFO age.
-			stale = e
-			c.ctr.evictions.Add(1)
-		} else {
-			c.evictOldestLocked()
-			c.ring[(c.head+c.n)%c.cap] = key
-			c.n++
-		}
-		c.entries[key] = ne
-		c.mu.Unlock()
-
-		return c.runBuild(key, ne, func() V {
-			if stale != nil && stale.panicked == nil && upgrade != nil {
-				return upgrade(stale.val)
-			}
-			return build()
-		})
-	}
-}
-
-// GetGenCtx is GetGen with the cancellation semantics of GetCtx: callers
-// detach when ctx expires, builds and upgrades run detached to
-// completion, and a cancelled caller can never poison the entry. With a
-// ctx that can never be cancelled it is exactly GetGen.
-func (c *Cache[V]) GetGenCtx(ctx context.Context, key, gen uint64, build func() V, upgrade func(stale V) V) (V, error) {
-	if ctx.Done() == nil {
-		return c.GetGen(key, gen, build, upgrade), nil
-	}
-	for {
-		c.mu.Lock()
-		e, ok := c.entries[key]
-		if ok && e.gen == gen {
-			select {
-			case <-e.done:
-				c.ctr.hits.Add(1)
-			default:
-				c.ctr.waits.Add(1)
-			}
-			c.mu.Unlock()
-			return waitEntry(ctx, e)
-		}
-		if ok {
-			select {
-			case <-e.done:
-			default:
-				// A stale generation is still building; wait it out (or
-				// detach) and retry, as in GetGen.
-				c.ctr.waits.Add(1)
-				c.mu.Unlock()
-				select {
-				case <-e.done:
-				case <-ctx.Done():
-					var zero V
-					return zero, ctx.Err()
-				}
-				continue
-			}
-		}
-		ne := &entry[V]{done: make(chan struct{}), gen: gen}
-		c.ctr.misses.Add(1)
-		c.ctr.inserts.Add(1)
-		var stale *entry[V]
-		if ok {
-			stale = e
-			c.ctr.evictions.Add(1)
-		} else {
-			c.evictOldestLocked()
-			c.ring[(c.head+c.n)%c.cap] = key
-			c.n++
-		}
-		c.entries[key] = ne
-		c.mu.Unlock()
-
-		go c.runBuildDetached(key, ne, func() V {
-			if stale != nil && stale.panicked == nil && upgrade != nil {
-				return upgrade(stale.val)
-			}
-			return build()
-		})
-		return waitEntry(ctx, ne)
-	}
 }
 
 // evictOldestLocked makes room for one insertion. Every live entry owns

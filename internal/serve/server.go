@@ -201,7 +201,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	put("engine_batch_units_total", uint64(m.Engine.BatchUnits))
 	put("engine_batch_trials_total", uint64(m.Engine.BatchTrials))
 	put("engine_batch_lane_clones_total", uint64(m.Engine.BatchLaneClones))
-	put("engine_batch_deferred_trials_total", uint64(m.Engine.BatchDeferredTrials))
 	put("engine_unit_steals_total", uint64(m.Engine.UnitSteals))
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	_, _ = io.WriteString(w, sb.String())

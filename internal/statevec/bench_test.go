@@ -140,7 +140,7 @@ func BenchmarkApplyMixedDiagSequence(b *testing.B) {
 }
 
 // Frozen-kernel benchmarks: the same operations through the verbatim
-// pre-SoA complex128 loops (frozen_test.go), giving bench_kernels.sh an
+// pre-SoA complex128 loops (frozen_test.go), giving go test -bench an
 // in-process denominator for the SoA/AVX2 speedups — the frozen code
 // lives in the test binary forever, so the baseline never goes stale.
 

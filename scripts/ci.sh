@@ -128,17 +128,17 @@ go test -race -count=1 -run 'Tracking|DriftCampaign|GetGen|Diff|DriftLocal' \
 
 echo "== trajectory engine determinism (DESIGN.md §10) =="
 # The tape-tree engine must match the frozen legacy loop byte for byte
-# at GOMAXPROCS=1 and at full stripe width; both passes run under the
-# race detector because the tape tree and its checkpoints are shared
-# read-only across workers (and the stats tally is flushed per stripe).
+# at GOMAXPROCS=1 and at full width; both passes run under the race
+# detector because the tape tree and its checkpoints are shared
+# read-only across workers (and the stats tally is flushed per worker).
 # TerminalDrop covers the shrinking register (DESIGN.md §15): circuits
 # whose measurements drop only partly, or down to width 0.
 GOMAXPROCS=1 go test -race -count=1 -run 'PrefixEngine|PrefixDrawOrder|PrefixPlan|TerminalDrop' ./internal/backend
 go test -race -count=1 -run 'PrefixEngine|PrefixDrawOrder|PrefixPlan|TerminalDrop' ./internal/backend
 
 echo "== batched replay identity (DESIGN.md §15) =="
-# The batched divergent-suffix scheduler must match the sequential
-# tape-tree replay (and, transitively, the legacy loop) byte for byte:
+# The batched divergent-suffix scheduler must match the legacy loop byte
+# for byte and retire every divergent trial through exactly one unit:
 # GOMAXPROCS=1 pins the serial scheduler, the full-width pass runs the
 # two-phase walk/replay pipeline with work stealing under the race
 # detector. TerminalDrop pins batch lanes narrowing together at every
@@ -152,28 +152,26 @@ echo "== statevec batch kernels: purego path =="
 # ProjectDrop tests run here too, on the scalar bodies.
 go test -tags purego -count=1 ./internal/statevec
 
-echo "== trajectory bench non-regression (committed BENCH_trajectory.json) =="
-# The committed report must never regress the recorded q14 throughput
-# of the previous commit. This compares recorded files (not a live
-# measurement), so it is deterministic: it fails only when someone
-# commits a report whose best q14 engine is slower than what the prior
-# commit shipped. Older reports predate the batched engine, so fall
-# back to the sequential column there.
-if git rev-parse --verify -q HEAD:BENCH_trajectory.json >/dev/null; then
-	git show HEAD:BENCH_trajectory.json >/tmp/bench_traj_head.json
-	python3 - <<-'PY'
-	import json
-	def best(path):
-	    rows = {r["case"]: r for r in json.load(open(path))["rows"]}
-	    row = rows["RunTrajectory/q14"]
-	    return max(row.get("batched_trials_per_s", 0.0), row["prefix_trials_per_s"])
-	prior, current = best("/tmp/bench_traj_head.json"), best("BENCH_trajectory.json")
-	print(f"q14 trials/s: prior commit {prior:.0f}, working tree {current:.0f}")
+echo "== replay bench non-regression (committed BENCH_replay.json) =="
+# The committed replay report must never regress the recorded throughput
+# of the previous commit. BENCH_replay.json is the last stdout line of
+#   bash perfbench/run.sh --workload replay --seed 201 --seconds 20
+# This compares recorded files (not a live measurement), so it is
+# deterministic: it fails only when someone commits a report whose
+# trials_per_s is below what the prior commit shipped.
+if git rev-parse --verify -q HEAD:BENCH_replay.json >/dev/null; then
+	git show HEAD:BENCH_replay.json >"$SMOKE/bench_replay_head.json"
+	python3 - "$SMOKE/bench_replay_head.json" <<-'PY'
+	import json, sys
+	def rate(path):
+	    return json.load(open(path))["metrics"]["trials_per_s"]["value"]
+	prior, current = rate(sys.argv[1]), rate("BENCH_replay.json")
+	print(f"replay trials/s: prior commit {prior:.0f}, working tree {current:.0f}")
 	if current < prior:
-	    raise SystemExit("BENCH_trajectory.json q14 regressed vs the prior commit")
+	    raise SystemExit("BENCH_replay.json trials_per_s regressed vs the prior commit")
 	PY
 else
-	echo "no committed BENCH_trajectory.json; skipping"
+	echo "no committed BENCH_replay.json; skipping"
 fi
 
 echo "== stabilizer engine identity (DESIGN.md §13) =="
