@@ -161,6 +161,8 @@ func checkScale(s experiment.Setup) error {
 		return fmt.Errorf("-rounds %d: need at least 1 calibration round", s.Rounds)
 	case s.Trials < need:
 		return fmt.Errorf("-trials %d cannot cover a %d-member ensemble", s.Trials, need)
+	case !(s.Drift >= 0 && s.Drift <= device.MaxDrift):
+		return fmt.Errorf("-drift %v: must be a finite scale in [0, %v]", s.Drift, device.MaxDrift)
 	}
 	return nil
 }

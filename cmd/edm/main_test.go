@@ -51,10 +51,23 @@ func TestScaleFlagsAreUsageErrors(t *testing.T) {
 		{"-trials", "2", "-k", "4", "fig9"},
 		{"-trials", "7", "-k", "8", "fig11"},
 		{"-quick", "-k", "4096", "fig9"},
+		{"-quick", "-drift", "NaN", "fig9"},
+		{"-quick", "-drift", "1e300", "fig9"},
+		{"-quick", "-drift", "-0.1", "fig9"},
+		{"-quick", "-drift", "+Inf", "fig9"},
 	} {
 		code, stderr := runEdm(t, args...)
 		if code != 2 || strings.Count(stderr, "\n") != 1 || !strings.HasPrefix(stderr, "edm: -") {
 			t.Errorf("edm %v: exit %d, stderr %q; want exit 2 and one usage line", args, code, stderr)
+		}
+	}
+	// The one-shot job path validates the same drift through the
+	// service: a failed run with one line, never a panic.
+	for _, d := range []string{"NaN", "1e300", "-0.1"} {
+		args := []string{"run", "-workload", "bv-6", "-k", "2", "-trials", "64", "-drift", d}
+		code, stderr := runEdm(t, args...)
+		if code == 0 || strings.Count(stderr, "\n") != 1 || strings.Contains(stderr, "goroutine") {
+			t.Errorf("edm %v: exit %d, stderr %q; want a failure with one error line", args, code, stderr)
 		}
 	}
 }

@@ -550,25 +550,69 @@ func (m *Machine) runTrajectory(prog *program, s *statevec.State, trueBits []int
 	return m.applyReadout(prog, trueBits, r)
 }
 
+// probOne, krausProbs, krausBranch and project run the prefix-sharing
+// engines' stochastic steps on register qubit q, or on a qubit outside
+// the register (q == outside; registerSchedule). Such a qubit is exactly
+// |0>: its P(1) is +0, so a measurement observes 0 and only
+// renormalizes, and damping draws against populations (register, +0)
+// and scales the register.
+
+// probOne returns P(1) of qubit q.
+func probOne(s *statevec.State, q int) float64 {
+	if q == outside {
+		return 0
+	}
+	return s.ProbabilityOne(q)
+}
+
+// krausProbs fills probs with a damping channel's branch probabilities
+// on qubit q.
+func krausProbs(s *statevec.State, ks []circuit.Matrix2, q int, probs []float64) {
+	if q == outside {
+		s.KrausBranchProbsZero(ks, probs)
+		return
+	}
+	s.KrausBranchProbs1Q(ks, q, probs)
+}
+
+// krausBranch applies branch k, of probability p, of a damping channel
+// on qubit q.
+func krausBranch(s *statevec.State, ks []circuit.Matrix2, q, k int, p float64) {
+	if q == outside {
+		s.ApplyKrausBranchZero(ks, k, p)
+		return
+	}
+	s.ApplyKrausBranch1Q(ks, q, k, p)
+}
+
 // project collapses qubit q onto outcome k, dropping it from the
 // register when drop marks a terminal measurement.
 func project(s *statevec.State, q, k int, drop bool) {
-	if drop {
+	switch {
+	case q == outside:
+		s.Renormalize()
+	case drop:
 		s.ProjectDrop(q, k)
-		return
+	default:
+		s.Project(q, k)
 	}
-	s.Project(q, k)
 }
 
 // applyUnitaryStep dispatches a deterministic unitary step to its fused
 // kernel class, on register qubits q0 (and q1). It is shared by the
 // legacy trial loop and the dominant-path builder, so both evolve states
-// through identical kernels.
+// through identical kernels. Only a diagonal step can find a qubit
+// outside the register (registerSchedule): it acts with its rows for
+// that qubit in |0>.
 func applyUnitaryStep(s *statevec.State, st *step, q0, q1 int) {
 	switch st.kind {
 	case stepU1:
 		switch st.class {
 		case matDiag:
+			if q0 == outside {
+				s.Scale(st.m2[0][0])
+				return
+			}
 			s.Apply1QDiag(st.m2[0][0], st.m2[1][1], q0)
 		case matAnti:
 			s.Apply1QAntiDiag(st.m2[0][1], st.m2[1][0], q0)
@@ -578,7 +622,16 @@ func applyUnitaryStep(s *statevec.State, st *step, q0, q1 int) {
 	case stepU2:
 		switch st.class {
 		case matDiag:
-			s.Apply2QDiag(st.d4, q0, q1)
+			switch {
+			case q0 == outside && q1 == outside:
+				s.Scale(st.d4[0])
+			case q1 == outside:
+				s.Apply1QDiag(st.d4[0], st.d4[1], q0)
+			case q0 == outside:
+				s.Apply1QDiag(st.d4[0], st.d4[2], q1)
+			default:
+				s.Apply2QDiag(st.d4, q0, q1)
+			}
 		case matPerm:
 			s.Apply2QPerm(st.perm, q0, q1)
 		default:
@@ -623,8 +676,11 @@ func (m *Machine) neighbourOne(prog *program, q int, trueBits []int) bool {
 
 // ExactDist computes the exact noisy output distribution of the
 // executable through the density-matrix engine (no shot noise). The
-// executable must only measure at the end and touch at most
-// density.MaxQubits qubits.
+// engine reads every measured qubit's population at the end, so it
+// returns an error when a damping step acts on a qubit after its
+// measurement (a later barrier idling it), where trajectories keep the
+// bit recorded at the measurement; it also returns one for executables
+// touching more than density.MaxQubits qubits.
 func (m *Machine) ExactDist(exe *circuit.Circuit) (*dist.Dist, error) {
 	prog, err := m.getProgram(exe)
 	if err != nil {
@@ -664,6 +720,9 @@ func (m *Machine) exactFromProgram(prog *program) (*dist.Dist, error) {
 		case stepPauli2:
 			rho.ApplyKraus2Q(noise.DepolarizingKraus2Q(st.p), st.q0, st.q1)
 		case stepDamp:
+			if localMeasured[st.q0] >= 0 {
+				return nil, fmt.Errorf("backend: step %d damps qubit %d after its measurement; ExactDist reads populations only at the end", i, prog.measPhys[localMeasured[st.q0]])
+			}
 			if st.ampK != nil {
 				rho.ApplyKraus1Q(st.ampK, st.q0)
 			}

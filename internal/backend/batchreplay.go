@@ -135,6 +135,10 @@ func applyUnitaryStepBatch(b *statevec.Batch, st *step, q0, q1 int) {
 	case stepU1:
 		switch st.class {
 		case matDiag:
+			if q0 == outside {
+				b.ScaleBatch(st.m2[0][0])
+				return
+			}
 			b.Apply1QDiagBatch(st.m2[0][0], st.m2[1][1], q0)
 		case matAnti:
 			b.Apply1QAntiDiagBatch(st.m2[0][1], st.m2[1][0], q0)
@@ -144,7 +148,16 @@ func applyUnitaryStepBatch(b *statevec.Batch, st *step, q0, q1 int) {
 	case stepU2:
 		switch st.class {
 		case matDiag:
-			b.Apply2QDiagBatch(st.d4, q0, q1)
+			switch {
+			case q0 == outside && q1 == outside:
+				b.ScaleBatch(st.d4[0])
+			case q1 == outside:
+				b.Apply1QDiagBatch(st.d4[0], st.d4[1], q0)
+			case q0 == outside:
+				b.Apply1QDiagBatch(st.d4[0], st.d4[2], q1)
+			default:
+				b.Apply2QDiagBatch(st.d4, q0, q1)
+			}
 		case matPerm:
 			b.Apply2QPermBatch(st.perm, q0, q1)
 		default:
@@ -243,15 +256,15 @@ func partitionStoch(b *statevec.Batch, us *unitState, op stochOp, tally *batchTa
 }
 
 // processUnit replays one unit's trials from its checkpoint to readout
-// on the plan's shrinking register, observing each trial's outcome into
-// counts. The batch has one lane per trial, starts at the register
-// width of the checkpoint's step and narrows at every terminal
-// measurement. A cancelled run returns early; the caller discards
-// partial counts.
+// on the plan's register (registerSchedule), observing each trial's
+// outcome into counts. The batch has one lane per trial and room for
+// every local qubit; its lanes start at the checkpoint's width, widen
+// at every entry and narrow at every terminal measurement. A cancelled
+// run returns early; the caller discards partial counts.
 func (m *Machine) processUnit(prog *program, plan *prefixPlan, u replayUnit, base *rng.RNG, counts *dist.Counts, tally *batchTally, cancel *atomic.Bool) {
 	ck := u.ck
 	lanes := len(u.ids)
-	b := statevec.GetBatch(int(plan.reg[ck.stepIdx].width), lanes)
+	b := statevec.GetBatch(prog.nLocal, lanes)
 	defer b.Release()
 
 	us := &unitState{
@@ -267,11 +280,13 @@ func (m *Machine) processUnit(prog *program, plan *prefixPlan, u replayUnit, bas
 		rr.Skip(ck.tapeIdx)
 		us.work = append(us.work, laneTrial{id: t, r: *rr})
 	}
-	lane0 := b.PushLane(ck.state) // nil state restores |0...0>
-	bits := make([]int, prog.numClbits)
-	if ck.state != nil {
-		copy(bits, ck.bits)
+	src := ck.state
+	if src == nil {
+		src = emptyRegister
 	}
+	lane0 := b.PushLane(src)
+	bits := make([]int, prog.numClbits)
+	copy(bits, ck.bits)
 	us.groups = append(us.groups, rGroup{start: 0, end: len(us.work), lane: lane0, bits: bits})
 
 	var probs [2]float64
@@ -280,6 +295,11 @@ func (m *Machine) processUnit(prog *program, plan *prefixPlan, u replayUnit, bas
 			return
 		}
 		st := &prog.steps[si]
+		for _, e := range plan.reg[si].enter {
+			if e >= 0 {
+				b.Enter(int(e))
+			}
+		}
 		q0, q1, drop := plan.at(si)
 		switch st.kind {
 		case stepU1, stepU2:
@@ -319,17 +339,17 @@ func (m *Machine) processUnit(prog *program, plan *prefixPlan, u replayUnit, bas
 				}
 				ks := ks
 				partitionStoch(b, us, stochOp{
-					prep: func(lane *statevec.State) { lane.KrausBranchProbs1Q(ks, q0, probs[:]) },
+					prep: func(lane *statevec.State) { krausProbs(lane, ks, q0, probs[:]) },
 					draw: func(r *rng.RNG) int { return r.Choose(probs[:]) },
 					apply: func(lane *statevec.State, _ []int, k int) {
-						lane.ApplyKrausBranch1Q(ks, q0, k, probs[k])
+						krausBranch(lane, ks, q0, k, probs[k])
 					},
 				}, tally)
 			}
 		case stepMeasure:
 			var p1 float64
 			partitionStoch(b, us, stochOp{
-				prep: func(lane *statevec.State) { p1 = lane.ProbabilityOne(q0) },
+				prep: func(lane *statevec.State) { p1 = probOne(lane, q0) },
 				draw: func(r *rng.RNG) int {
 					if r.Float64() < p1 {
 						return 1
@@ -338,7 +358,7 @@ func (m *Machine) processUnit(prog *program, plan *prefixPlan, u replayUnit, bas
 				},
 				apply: func(lane *statevec.State, bits []int, k int) {
 					if !drop {
-						lane.Project(q0, k)
+						project(lane, q0, k, false)
 					}
 					bits[st.cbit] = k
 				},

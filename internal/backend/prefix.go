@@ -150,7 +150,7 @@ func (e *tapeEntry) branch(u float64) int {
 type checkpoint struct {
 	stepIdx int
 	tapeIdx int
-	state   *statevec.State // nil for the initial |0...0> checkpoint
+	state   *statevec.State // nil for the initial checkpoint: emptyRegister
 	bits    []int
 }
 
@@ -201,36 +201,57 @@ type prefixPlan struct {
 	// only, each checkpoint at its own width), reported by benchmarks as
 	// the engine's space overhead.
 	stateBytes int64
-	// reg places every schedule step on the shrinking register the
-	// prefix-sharing engines run (dropSchedule).
+	// reg places every schedule step on the register the prefix-sharing
+	// engines run (registerSchedule).
 	reg []regStep
 }
 
+// outside marks a step qubit that is not in the register when the step
+// runs: it has not entered yet, and is exactly |0>.
+const outside = -1
+
 // regStep places one schedule step on the prefix-sharing engines'
-// register: its qubits' register indices, the register width before the
-// step, and whether it is a terminal measurement that drops its qubit.
+// register: the register indices of its qubits (outside for a qubit not
+// in the register), the register width before the step, the indices at
+// which qubits enter right before the step (ascending, -1 when unused),
+// and whether it is a terminal measurement that drops its qubit.
 type regStep struct {
-	q0, q1, width uint8
-	drop          bool
+	q0, q1 int8
+	width  uint8
+	enter  [2]int8
+	drop   bool
 }
 
-// at returns step i's qubit indices on the register the engine runs and
-// whether the step drops its qubit.
+// at returns step i's qubit indices on the register the engine runs
+// (outside for a qubit not in it) and whether the step drops its qubit.
 func (p *prefixPlan) at(i int) (q0, q1 int, drop bool) {
 	r := &p.reg[i]
 	return int(r.q0), int(r.q1), r.drop
 }
 
-// dropSchedule places prog's schedule on a shrinking register. A
-// measurement is terminal when no later step of any kind touches its
-// qubit — crosstalk ZZ and barrier idle damping count as touches — and
-// is marked drop: the engines remove the qubit from the register right
-// after projecting it, and the qubits above it move down one index. The
-// amplitudes a drop discards are exact zeros that no later step reads,
-// so every kept amplitude, branch probability and projection norm is
-// bit-identical to the full-register run (DESIGN.md §15). EngineLegacy
-// and ExactDist keep running prog.steps on the full register.
-func dropSchedule(prog *program) []regStep {
+// registerSchedule places prog's schedule on a register that holds only
+// the local qubits that have entered and not been dropped, in ascending
+// local-qubit order (DESIGN.md §15):
+//
+//   - A qubit enters right before its first step that can move it out
+//     of |0>: a non-diagonal unitary, a Pauli error step, or damping
+//     whose Kraus set fails statevec.KrausKeepsZero. It goes in at its
+//     rank among the qubits then live. Steps before that act on it as
+//     a qubit outside the register, which is exactly |0>: a diagonal
+//     unitary reduces to its |0> row, damping and measurement see
+//     populations (register, +0).
+//   - A measurement is terminal when no later step of any kind touches
+//     its qubit — crosstalk ZZ and barrier idle damping count as
+//     touches. A terminal measurement of a qubit in the register drops
+//     it right after projecting, and the qubits above it move down one
+//     index.
+//
+// Both orders are monotone in the full register's index, so every kept
+// amplitude, branch probability and projection norm is bit-identical to
+// the full-register run, whose extra amplitudes are exact zeros.
+// EngineLegacy and ExactDist keep running prog.steps on the full
+// register.
+func registerSchedule(prog *program) []regStep {
 	last := make([]int, prog.nLocal) // last step touching each local qubit
 	for i := range prog.steps {
 		st := &prog.steps[i]
@@ -239,31 +260,78 @@ func dropSchedule(prog *program) []regStep {
 			last[st.q1] = i
 		}
 	}
-	pos := make([]uint8, prog.nLocal) // register index of each live local qubit
-	for q := range pos {
-		pos[q] = uint8(q)
+	live := make([]bool, prog.nLocal)
+	width := 0
+	index := func(q int) int8 { // register index of local qubit q
+		if !live[q] {
+			return outside
+		}
+		n := int8(0)
+		for p := 0; p < q; p++ {
+			if live[p] {
+				n++
+			}
+		}
+		return n
 	}
-	n := uint8(prog.nLocal)
 	reg := make([]regStep, len(prog.steps))
 	for i := range prog.steps {
 		st := &prog.steps[i]
-		r := regStep{q0: pos[st.q0], width: n}
-		if st.kind == stepU2 || st.kind == stepPauli2 {
-			r.q1 = pos[st.q1]
-		}
-		if st.kind == stepMeasure && last[st.q0] == i {
-			r.drop = true
-			for q, p := range pos {
-				if p > r.q0 {
-					pos[q]--
+		two := st.kind == stepU2 || st.kind == stepPauli2
+		r := regStep{q1: outside, width: uint8(width), enter: [2]int8{-1, -1}}
+		var in [2]int // local qubits entering before this step
+		ne := 0
+		if entersAt(st) {
+			for k, q := range [2]int{st.q0, st.q1} {
+				if (k == 0 || two) && !live[q] {
+					live[q] = true
+					in[ne] = q
+					ne++
 				}
 			}
-			n--
+		}
+		width += ne
+		r.q0 = index(st.q0)
+		if two {
+			r.q1 = index(st.q1)
+		}
+		// Each entering qubit goes in at its final index, lower index
+		// first: the higher one is not in the register yet when the lower
+		// one enters, so the lower one's index is already final.
+		for k := 0; k < ne; k++ {
+			r.enter[k] = index(in[k])
+		}
+		if ne == 2 && r.enter[0] > r.enter[1] {
+			r.enter[0], r.enter[1] = r.enter[1], r.enter[0]
+		}
+		if st.kind == stepMeasure && last[st.q0] == i && live[st.q0] {
+			r.drop = true
+			live[st.q0] = false
+			width--
 		}
 		reg[i] = r
 	}
 	return reg
 }
+
+// entersAt reports whether a step can move its qubits out of |0>, so
+// that any of them outside the register enter right before it.
+func entersAt(st *step) bool {
+	switch st.kind {
+	case stepU1, stepU2:
+		return st.class != matDiag
+	case stepPauli1, stepPauli2:
+		return true
+	case stepDamp:
+		return !statevec.KrausKeepsZero(st.ampK) || !statevec.KrausKeepsZero(st.phK)
+	}
+	return false // stepMeasure
+}
+
+// emptyRegister is the register before step 0, where no qubit has
+// entered: the width-0 state with amplitude 1. The root checkpoint's nil
+// state restores it. Read-only.
+var emptyRegister = statevec.NewState(0)
 
 // Tree and checkpoint budgets. A fork adds a dominant path for a
 // minority branch: trials whose first divergence lands on a forked site
@@ -528,7 +596,7 @@ func buildPrefixPlan(prog *program) *prefixPlan {
 			return nil
 		}
 	}
-	plan := &prefixPlan{reg: dropSchedule(prog)}
+	plan := &prefixPlan{reg: registerSchedule(prog)}
 	b := &treeBuilder{
 		prog:      prog,
 		plan:      plan,
@@ -545,8 +613,9 @@ func buildPrefixPlan(prog *program) *prefixPlan {
 	root := b.newNode(nil)
 	root.ckpts = append(root.ckpts, checkpoint{stepIdx: 0, tapeIdx: 0})
 	plan.root = root
-	s := statevec.GetState(prog.nLocal)
+	s := statevec.GetState(prog.nLocal) // room for every qubit to enter
 	defer statevec.PutState(s)
+	s.CopyFrom(emptyRegister)
 	bits := make([]int, prog.numClbits)
 	b.build(root, s, bits, 0, 0, 0)
 	for _, n := range plan.nodes {
@@ -582,8 +651,15 @@ func (b *treeBuilder) build(node *treeNode, s *statevec.State, bits []int, start
 		if i == startStep {
 			sub = startSub
 		}
-		if i == b.firstMeas && sub == subStart {
-			b.snapshot(node, s, bits, i, tapeIdx)
+		if sub == subStart {
+			if i == b.firstMeas {
+				b.snapshot(node, s, bits, i, tapeIdx)
+			}
+			for _, e := range b.plan.reg[i].enter {
+				if e >= 0 {
+					s.Enter(int(e))
+				}
+			}
 		}
 		switch st.kind {
 		case stepU1, stepU2:
@@ -627,13 +703,15 @@ func (b *treeBuilder) build(node *treeNode, s *statevec.State, bits []int, start
 // both children from schedule position (stepIdx, nextSub): apply is
 // called with the branch index and the branch's state to take the
 // branch's state update. The dominant branch continues in place; the
-// minority branch gets a one-off clone.
+// minority branch gets a copy with room for every qubit to enter.
 func (b *treeBuilder) fork(node *treeNode, s *statevec.State, bits []int, entry tapeEntry,
 	dom int, pDom float64, stepIdx, nextSub, tapeIdx int,
 	apply func(branch int, bs *statevec.State, bb []int)) {
 	node.fork = entry
 	b.leaves++
-	other := s.Clone()
+	other := statevec.GetState(b.prog.nLocal)
+	defer statevec.PutState(other)
+	other.CopyFrom(s)
 	otherBits := append([]int(nil), bits...)
 	cd := b.newNode(node)
 	cd.prob = node.prob * pDom
@@ -656,7 +734,7 @@ func (b *treeBuilder) fork(node *treeNode, s *statevec.State, bits []int, entry 
 func (b *treeBuilder) emitKraus(node *treeNode, s *statevec.State, bits []int,
 	ks []circuit.Matrix2, q, stepIdx, nextSub int, tapeIdx *int) bool {
 	var probs [2]float64
-	s.KrausBranchProbs1Q(ks, q, probs[:])
+	krausProbs(s, ks, q, probs[:])
 	// total replicates rng.Choose's summation order.
 	total := probs[0] + probs[1]
 	dom := 0
@@ -670,13 +748,13 @@ func (b *treeBuilder) emitKraus(node *treeNode, s *statevec.State, bits []int,
 		*tapeIdx++
 		b.fork(node, s, bits, entry, dom, probs[dom]/total, stepIdx, nextSub, *tapeIdx,
 			func(branch int, bs *statevec.State, _ []int) {
-				bs.ApplyKrausBranch1Q(ks, q, branch, probs[branch])
+				krausBranch(bs, ks, q, branch, probs[branch])
 			})
 		return true
 	}
 	node.tape = append(node.tape, entry)
 	*tapeIdx++
-	s.ApplyKrausBranch1Q(ks, q, dom, probs[dom])
+	krausBranch(s, ks, q, dom, probs[dom])
 	return false
 }
 
@@ -688,7 +766,7 @@ func (b *treeBuilder) emitKraus(node *treeNode, s *statevec.State, bits []int,
 func (b *treeBuilder) emitMeasure(node *treeNode, s *statevec.State, bits []int,
 	st *step, stepIdx int, tapeIdx *int) bool {
 	q, _, drop := b.plan.at(stepIdx)
-	p1 := s.ProbabilityOne(q)
+	p1 := probOne(s, q)
 	dom := 0
 	op := tapeMeas0
 	if p1 >= 0.5 {

@@ -48,7 +48,10 @@ type Calibration struct {
 	MeasTimeNs   float64
 }
 
-// Validate checks structural consistency with the topology.
+// Validate checks structural consistency with the topology and the
+// range of every numeric field. Comparisons are written so that NaN
+// fails them; coherence times may be +Inf (a profile without damping),
+// every other field must be finite.
 func (c *Calibration) Validate() error {
 	n := c.Topo.Qubits
 	perQubit := map[string][]float64{
@@ -62,14 +65,17 @@ func (c *Calibration) Validate() error {
 	}
 	for name, vals := range map[string][]float64{"SQErr": c.SQErr, "Meas01": c.Meas01, "Meas10": c.Meas10} {
 		for q, p := range vals {
-			if p < 0 || p > 1 {
+			if !(p >= 0 && p <= 1) {
 				return fmt.Errorf("device: %s[%d] = %v out of [0,1]", name, q, p)
 			}
 		}
 	}
 	for q := 0; q < n; q++ {
-		if c.T1us[q] <= 0 || c.T2us[q] <= 0 {
+		if !(c.T1us[q] > 0 && c.T2us[q] > 0) {
 			return fmt.Errorf("device: non-positive coherence time on qubit %d", q)
+		}
+		if !finite(c.CohY[q]) || !finite(c.CohZ[q]) {
+			return fmt.Errorf("device: non-finite coherent angle on qubit %d", q)
 		}
 	}
 	for _, e := range c.Topo.Edges() {
@@ -77,21 +83,33 @@ func (c *Calibration) Validate() error {
 		if !ok {
 			return fmt.Errorf("device: missing CXErr for edge %v", e)
 		}
-		if p < 0 || p > 1 {
+		if !(p >= 0 && p <= 1) {
 			return fmt.Errorf("device: CXErr[%v] = %v out of [0,1]", e, p)
 		}
-		if _, ok := c.CXCohZZ[e]; !ok {
+		zz, ok := c.CXCohZZ[e]
+		if !ok {
 			return fmt.Errorf("device: missing CXCohZZ for edge %v", e)
 		}
-		if _, ok := c.CrossZZ[e]; !ok {
+		cross, ok := c.CrossZZ[e]
+		if !ok {
 			return fmt.Errorf("device: missing CrossZZ for edge %v", e)
 		}
+		if !finite(zz) || !finite(cross) {
+			return fmt.Errorf("device: non-finite coherent angle on edge %v", e)
+		}
 	}
-	if c.Gate1QTimeNs <= 0 || c.Gate2QTimeNs <= 0 || c.MeasTimeNs <= 0 {
-		return fmt.Errorf("device: non-positive gate times")
+	if !finite(c.ReadoutCorr) {
+		return fmt.Errorf("device: non-finite readout correlation %v", c.ReadoutCorr)
+	}
+	for _, ns := range [3]float64{c.Gate1QTimeNs, c.Gate2QTimeNs, c.MeasTimeNs} {
+		if !(ns > 0) || math.IsInf(ns, 1) {
+			return fmt.Errorf("device: gate times must be positive and finite")
+		}
 	}
 	return nil
 }
+
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // MeasErrAvg returns the symmetrized readout error of qubit q, the figure
 // ESP uses.
@@ -322,12 +340,20 @@ func clamp(v, lo, hi float64) float64 {
 	return v
 }
 
+// MaxDrift is the largest drift scale the command line and the server
+// accept for Drift. rng.Norm never returns |N| above 8.6, so Drift's
+// factors exp(f*N) stay within exp(±430) at f = MaxDrift: far from
+// overflow (exp(x) is finite for x < 709) and from underflow to zero (x
+// > -708), so a zero rate stays zero and an infinite coherence time
+// stays infinite instead of turning NaN.
+const MaxDrift = 50
+
 // Drift returns a perturbed copy of the calibration, modelling the
 // temporal variation between the data the compiler saw and the machine's
 // behaviour at run time (paper Section 5.3: "the behavior of the devices
 // can change unpredictably at runtime"). Stochastic rates are scaled by
 // exp(f*N(0,1)); coherent angles receive additive noise of the same
-// relative scale.
+// relative scale. f must lie in [0, MaxDrift].
 func (c *Calibration) Drift(f float64, r *rng.RNG) *Calibration {
 	out := c.Clone()
 	qr := r.Derive("qubit-drift")

@@ -230,6 +230,16 @@ func TestValidateCatchesCorruption(t *testing.T) {
 		func(c *Calibration) { c.CXErr[NewEdge(0, 1)] = -0.1 },
 		func(c *Calibration) { delete(c.CrossZZ, NewEdge(0, 1)) },
 		func(c *Calibration) { c.Gate1QTimeNs = 0 },
+		func(c *Calibration) { c.SQErr[1] = math.NaN() },
+		func(c *Calibration) { c.T2us[4] = math.NaN() },
+		func(c *Calibration) { c.CohY[0] = math.Inf(1) },
+		func(c *Calibration) { c.CohZ[3] = math.NaN() },
+		func(c *Calibration) { c.CXErr[NewEdge(0, 1)] = math.NaN() },
+		func(c *Calibration) { c.CrossZZ[NewEdge(0, 1)] = math.NaN() },
+		func(c *Calibration) { c.CXCohZZ[NewEdge(0, 1)] = math.Inf(-1) },
+		func(c *Calibration) { c.ReadoutCorr = math.NaN() },
+		func(c *Calibration) { c.MeasTimeNs = math.NaN() },
+		func(c *Calibration) { c.Gate2QTimeNs = math.Inf(1) },
 	}
 	for i, corrupt := range cases {
 		c := good.Clone()
@@ -240,6 +250,31 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	}
 	if err := good.Validate(); err != nil {
 		t.Fatalf("good calibration invalid: %v", err)
+	}
+	// Infinite coherence times stay legal: a profile without damping.
+	inf := good.Clone()
+	inf.T1us[0], inf.T2us[0] = math.Inf(1), math.Inf(1)
+	if err := inf.Validate(); err != nil {
+		t.Fatalf("infinite coherence times rejected: %v", err)
+	}
+}
+
+// TestDriftAtMaxDriftStaysValid drives Drift at the MaxDrift ceiling
+// over many seeds, on a profile with rates at exactly zero and infinite
+// coherence times: every drifted calibration must validate, because no
+// exp(f*N) factor overflows or underflows at that scale.
+func TestDriftAtMaxDriftStaysValid(t *testing.T) {
+	base := Generate(Melbourne(), MelbourneProfile(), rng.New(3))
+	base.SQErr[0], base.Meas01[1] = 0, 0
+	base.T1us[2], base.T2us[2] = math.Inf(1), math.Inf(1)
+	for seed := uint64(0); seed < 200; seed++ {
+		d := base.Drift(MaxDrift, rng.New(seed))
+		if err := d.Validate(); err != nil {
+			t.Fatalf("seed %d: Drift(MaxDrift) is invalid: %v", seed, err)
+		}
+		if d.SQErr[0] != 0 || d.Meas01[1] != 0 || !math.IsInf(d.T1us[2], 1) {
+			t.Fatalf("seed %d: Drift(MaxDrift) moved a zero rate or an infinite coherence time", seed)
+		}
 	}
 }
 

@@ -117,6 +117,9 @@ func NewService(cfg Config) (*Service, error) {
 	if cfg.TTL < 0 {
 		return nil, fmt.Errorf("serve: ttl %v must be non-negative", cfg.TTL)
 	}
+	if !(cfg.Drift >= 0 && cfg.Drift <= device.MaxDrift) {
+		return nil, fmt.Errorf("serve: drift %v must be a finite scale in [0, %v]", cfg.Drift, device.MaxDrift)
+	}
 	if _, _, err := device.ByName(cfg.Device); err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
 	}

@@ -3,12 +3,14 @@ package serve
 import (
 	"context"
 	"errors"
+	"math"
 	"sync"
 	"testing"
 	"time"
 
 	"edm/internal/backend"
 	"edm/internal/core"
+	"edm/internal/device"
 	"edm/internal/mapper"
 	"edm/internal/rng"
 	"edm/internal/workloads"
@@ -279,5 +281,12 @@ func TestNewServiceValidation(t *testing.T) {
 	cfg.TTL = -time.Second
 	if _, err := NewService(cfg); err == nil {
 		t.Fatal("negative ttl must error")
+	}
+	for _, d := range []float64{math.NaN(), math.Inf(1), -0.1, 1e300, device.MaxDrift * 2} {
+		cfg = testConfig()
+		cfg.Drift = d
+		if _, err := NewService(cfg); err == nil {
+			t.Fatalf("drift %v must error", d)
+		}
 	}
 }

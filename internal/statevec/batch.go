@@ -38,7 +38,8 @@ var batchScratch pool.Buffers[float64]
 
 // GetBatch returns an empty batch (no live lanes) with capacity for
 // `lanes` statevectors of n qubits, its buffer drawn from a process-wide
-// free list. Pair with Release.
+// free list. Its lanes start n qubits wide; the first PushLane may narrow
+// them, and Enter widens them again up to n. Pair with Release.
 func GetBatch(n, lanes int) *Batch {
 	if n < 0 || n > MaxQubits {
 		panic(fmt.Sprintf("statevec: %d qubits out of range", n))
@@ -55,6 +56,16 @@ func GetBatch(n, lanes int) *Batch {
 	b.views = make([]State, lanes)
 	b.carveViews()
 	return b
+}
+
+// setWidth re-carves the batch at n qubits per lane; the storage must
+// hold every lane at that width.
+func (b *Batch) setWidth(n int) {
+	if n < 0 || b.capLanes<<uint(n) > len(b.re) {
+		panic(fmt.Sprintf("statevec: %d-qubit lanes exceed the batch's storage", n))
+	}
+	b.n = n
+	b.carveViews()
 }
 
 // carveViews points every lane view at its 2^n-amplitude slot of the
@@ -97,11 +108,17 @@ func (b *Batch) Lane(i int) *State {
 }
 
 // PushLane appends a live lane initialized from src (nil means the
-// initial state |0...0>) and returns its index. Panics when the batch
-// is full; callers size the batch before restoring.
+// initial state |0...0>) and returns its index. The first lane pushed
+// into an empty batch sets the batch's width to src's, which may be any
+// width up to the one the batch was sized for; later lanes must match
+// it. Panics when the batch is full; callers size the batch before
+// restoring.
 func (b *Batch) PushLane(src *State) int {
 	if b.live >= b.capLanes {
 		panic("statevec: batch lane capacity exceeded")
+	}
+	if b.live == 0 && src != nil && src.n != b.n {
+		b.setWidth(src.n)
 	}
 	i := b.live
 	b.live++
@@ -237,6 +254,26 @@ func (b *Batch) ProjectDrop(q int, outcomes []int) {
 		lo, hi := i*half, (i+1)*half
 		projectDrop(b.re[lo:hi:hi], b.im[lo:hi:hi], b.views[i].re, b.views[i].im, 1<<uint(q), k)
 	}
-	b.n--
-	b.carveViews()
+	b.setWidth(b.n - 1)
+}
+
+// Enter inserts a qubit in |0> at index q of every live lane, each lane
+// exactly as State.Enter would. The lanes widen in place and stay back
+// to back at the new stride 2^(n+1), so the batch must have been sized
+// for the wider lanes: GetBatch at the widest register the lanes will
+// reach, then PushLane a narrower first lane.
+func (b *Batch) Enter(q int) {
+	if q < 0 || q > b.n {
+		panic(fmt.Sprintf("statevec: Enter at %d outside [0,%d]", q, b.n))
+	}
+	size := b.live << uint(b.n)
+	b.setWidth(b.n + 1)
+	enterSpread(b.re, b.im, size, 1<<uint(q))
+}
+
+// ScaleBatch multiplies every amplitude of every live lane by c, as
+// State.Scale does per lane.
+func (b *Batch) ScaleBatch(c complex128) {
+	re, im := b.flat()
+	cscaleRun(re, im, real(c), imag(c))
 }

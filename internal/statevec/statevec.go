@@ -171,12 +171,20 @@ func (s *State) CopyFrom(src *State) {
 
 // Norm returns the 2-norm of the statevector (1 for a valid state).
 func (s *State) Norm() float64 {
+	return math.Sqrt(s.population())
+}
+
+// population returns the sum of |a_b|^2 over the register in ascending
+// b — the chain every order-pinned reduction here (ProbabilityOne, the
+// Kraus populations, the projection norm) runs over the amplitudes it
+// visits, term for term.
+func (s *State) population() float64 {
 	var sum float64
 	for i, ar := range s.re {
 		ai := s.im[i]
 		sum += ar*ar + ai*ai
 	}
-	return math.Sqrt(sum)
+	return sum
 }
 
 func (s *State) checkQubit(q int) {
@@ -488,7 +496,7 @@ func (s *State) ApplyKraus1Q(ks []circuit.Matrix2, q int, r *rng.RNG) int {
 		if n <= 0 {
 			panic("statevec: Kraus operator annihilated the state")
 		}
-		s.scale(1 / n)
+		s.Scale(complex(1/n, 0))
 		return 0
 	}
 	var pbuf [8]float64
@@ -542,13 +550,7 @@ func (s *State) KrausBranchProbs1Q(ks []circuit.Matrix2, q int, probs []float64)
 				p1 += a1r*a1r + a1i*a1i
 			}
 		}
-		for i, k := range ks {
-			if k.IsDiagonal() {
-				probs[i] = abs2(k[0][0])*p0 + abs2(k[1][1])*p1
-			} else {
-				probs[i] = abs2(k[0][1])*p1 + abs2(k[1][0])*p0
-			}
-		}
+		krausPopProbs(ks, p0, p1, probs)
 		return
 	}
 	// Branch probability p_i = sum over basis pairs of |K_i acting on the
@@ -609,6 +611,18 @@ func (s *State) ApplyKrausBranch1Q(ks []circuit.Matrix2, q, choice int, p float6
 	}, q)
 }
 
+// krausPopProbs fills probs with the branch probabilities of a
+// diagonal-like Kraus set from the target qubit's populations p0, p1.
+func krausPopProbs(ks []circuit.Matrix2, p0, p1 float64, probs []float64) {
+	for i, k := range ks {
+		if k.IsDiagonal() {
+			probs[i] = abs2(k[0][0])*p0 + abs2(k[1][1])*p1
+		} else {
+			probs[i] = abs2(k[0][1])*p1 + abs2(k[1][0])*p0
+		}
+	}
+}
+
 // krausDiagLike reports whether every operator in the set is diagonal or
 // anti-diagonal, enabling the population-based probability fast path.
 func krausDiagLike(ks []circuit.Matrix2) bool {
@@ -622,17 +636,6 @@ func krausDiagLike(ks []circuit.Matrix2) bool {
 
 func abs2(c complex128) float64 {
 	return real(c)*real(c) + imag(c)*imag(c)
-}
-
-// scale multiplies every amplitude by the real factor f, spelled as the
-// full complex multiply by (f + 0i) the frozen loop performed so zero
-// signs stay bit-identical.
-func (s *State) scale(f float64) {
-	for i, ar := range s.re {
-		ai := s.im[i]
-		s.re[i] = ar*f - ai*0
-		s.im[i] = ar*0 + ai*f
-	}
 }
 
 // Probabilities returns the probability of every basis state.

@@ -173,6 +173,23 @@ func TestApplyKrausIdentityChannel(t *testing.T) {
 	if f := s.Fidelity(before); !approx(f, 1, 1e-10) {
 		t.Fatalf("identity channel changed state: %v", f)
 	}
+	// A lone non-unitary operator renormalizes with the complex multiply
+	// by (1/norm + 0i), zero terms spelled out, bit for bit.
+	want := s.Clone()
+	want.Apply1QDiag(0.5, 0.25, 2)
+	f := 1 / want.Norm()
+	for i, ar := range want.re {
+		ai := want.im[i]
+		want.re[i] = ar*f - ai*0
+		want.im[i] = ar*0 + ai*f
+	}
+	s.ApplyKraus1Q([]circuit.Matrix2{{{0.5, 0}, {0, 0.25}}}, 2, r)
+	for i := range want.re {
+		if math.Float64bits(s.re[i]) != math.Float64bits(want.re[i]) ||
+			math.Float64bits(s.im[i]) != math.Float64bits(want.im[i]) {
+			t.Fatalf("renormalized amplitude %d = (%v, %v), want (%v, %v)", i, s.re[i], s.im[i], want.re[i], want.im[i])
+		}
+	}
 }
 
 func TestApplyKrausBitFlipRate(t *testing.T) {

@@ -131,10 +131,12 @@ echo "== trajectory engine determinism (DESIGN.md §10) =="
 # at GOMAXPROCS=1 and at full width; both passes run under the race
 # detector because the tape tree and its checkpoints are shared
 # read-only across workers (and the stats tally is flushed per worker).
-# TerminalDrop covers the shrinking register (DESIGN.md §15): circuits
-# whose measurements drop only partly, or down to width 0.
-GOMAXPROCS=1 go test -race -count=1 -run 'PrefixEngine|PrefixDrawOrder|PrefixPlan|TerminalDrop' ./internal/backend
-go test -race -count=1 -run 'PrefixEngine|PrefixDrawOrder|PrefixPlan|TerminalDrop' ./internal/backend
+# TerminalDrop and LazyEntry cover the register schedule (DESIGN.md §15):
+# circuits whose measurements drop only partly or down to width 0, and
+# circuits whose qubits meet crosstalk, idle damping, diagonal gates or a
+# measurement before they enter the register.
+GOMAXPROCS=1 go test -race -count=1 -run 'PrefixEngine|PrefixDrawOrder|PrefixPlan|TerminalDrop|LazyEntry' ./internal/backend
+go test -race -count=1 -run 'PrefixEngine|PrefixDrawOrder|PrefixPlan|TerminalDrop|LazyEntry' ./internal/backend
 
 echo "== batched replay identity (DESIGN.md §15) =="
 # The batched divergent-suffix scheduler must match the legacy loop byte
@@ -142,14 +144,14 @@ echo "== batched replay identity (DESIGN.md §15) =="
 # GOMAXPROCS=1 pins the serial scheduler, the full-width pass runs the
 # two-phase walk/replay pipeline with work stealing under the race
 # detector. TerminalDrop pins batch lanes narrowing together at every
-# terminal measurement.
-GOMAXPROCS=1 go test -race -count=1 -run 'BatchedReplay|MaxLanesFor|TerminalDrop' ./internal/backend
-go test -race -count=1 -run 'BatchedReplay|MaxLanesFor|TerminalDrop' ./internal/backend
+# terminal measurement, LazyEntry widening together at every entry.
+GOMAXPROCS=1 go test -race -count=1 -run 'BatchedReplay|MaxLanesFor|TerminalDrop|LazyEntry' ./internal/backend
+go test -race -count=1 -run 'BatchedReplay|MaxLanesFor|TerminalDrop|LazyEntry' ./internal/backend
 
 echo "== statevec batch kernels: purego path =="
 # The batch kernels' scalar fallbacks must pin the same frozen oracle
 # as the AVX2 path; -tags purego forces them on an amd64 host. The
-# ProjectDrop tests run here too, on the scalar bodies.
+# ProjectDrop and Enter tests run here too, on the scalar bodies.
 go test -tags purego -count=1 ./internal/statevec
 
 echo "== replay bench non-regression (committed BENCH_replay.json) =="
