@@ -229,8 +229,8 @@ func printCacheStats(out *os.File) {
 		"compiler", comp.Hits, comp.Misses, comp.Waits, comp.Evictions, comp.Entries)
 	fmt.Fprintf(out, "  %-14s hits %-8d misses %-6d waits %-4d evictions %-4d entries %d\n",
 		"topk", topk.Hits, topk.Misses, topk.Waits, topk.Evictions, topk.Entries)
-	fmt.Fprintf(out, "  %-14s hits %-8d misses %-6d evictions %d entries %d\n",
-		"backend/prog", prog.Hits, prog.Misses, prog.Evictions, prog.Entries)
+	fmt.Fprintf(out, "  %-14s hits %-8d misses %-6d waits %-4d evictions %-4d entries %d\n",
+		"backend/prog", prog.Hits, prog.Misses, prog.Waits, prog.Evictions, prog.Entries)
 	fmt.Fprintf(out, "  %-14s hits %-8d misses %-6d waits %-4d evictions %-4d entries %d\n",
 		"backend/run", run.Hits, run.Misses, run.Waits, run.Evictions, run.Entries)
 	printRecompileStats(out)
@@ -253,29 +253,23 @@ func printRecompileStats(out *os.File) {
 		"candidates", rs.Reused, rs.Rescored, rs.Rerouted, rs.Dropped, 100*rs.Survival())
 }
 
-// printEngineStats reports the tape-tree trajectory engine counters
-// (DESIGN.md §10). A nonzero fallback count means some compiled program
-// had a Kraus shape the threshold tape cannot model and ran on the
-// legacy loop — silent but slow, so -cachestats makes it visible.
+// printEngineStats reports the trajectory engine counters (DESIGN.md
+// §10, §13, §15).
 func printEngineStats(out *os.File) {
 	es := backend.EngineStatsSnapshot()
 	fmt.Fprintln(out, "trajectory engine stats:")
-	fmt.Fprintf(out, "  %-14s plans %-8d fallbacks %-4d leaves %d\n",
-		"tape-tree", es.PlansBuilt, es.PlanFallbacks, es.TreeLeaves)
+	fmt.Fprintf(out, "  %-14s plans %-8d leaves %d\n",
+		"tape-tree", es.PlansBuilt, es.TreeLeaves)
 	fmt.Fprintf(out, "  %-14s dominant %-6d divergent %d\n",
 		"trials", es.FullDominantTrials, es.DivergentTrials)
 	meanBatch := 0.0
 	if es.BatchUnits > 0 {
 		meanBatch = float64(es.BatchTrials) / float64(es.BatchUnits)
 	}
-	fmt.Fprintf(out, "  %-14s buckets %-6d units %-6d mean-batch %-6.1f clones %-6d steals %d\n",
-		"batched", es.BatchBuckets, es.BatchUnits, meanBatch, es.BatchLaneClones, es.UnitSteals)
+	fmt.Fprintf(out, "  %-14s buckets %-6d units %-6d mean-batch %-6.1f clones %d\n",
+		"batched", es.BatchBuckets, es.BatchUnits, meanBatch, es.BatchLaneClones)
 	fmt.Fprintf(out, "  %-14s programs %-5d fallbacks %-4d prefix-steps %-6d max-words %-3d trials %d\n",
 		"stabilizer", es.StabPrograms, es.StabFallbacks, es.StabPrefixSteps, es.StabMaxWords, es.StabTrials)
-	if es.PlanFallbacks > 0 {
-		fmt.Fprintf(out, "  warning: %d program(s) fell back to the legacy trajectory loop\n",
-			es.PlanFallbacks)
-	}
 }
 
 type exp struct {

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -45,5 +47,22 @@ func TestRunSubcommandPrintsResult(t *testing.T) {
 	}
 	if strings.Count(got, "\n") < 2 {
 		t.Fatalf("no outcomes printed:\n%s", got)
+	}
+}
+
+// TestNonFiniteCircuitExitsTwo: a circuit with a NaN gate angle is a
+// usage error with one line on stderr, not a goroutine dump.
+func TestNonFiniteCircuitExitsTwo(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "nan.txt")
+	src := "qubits 2\ncbits 2\nx 0\nrz(NaN) 0\nmeasure 0 -> 0\nmeasure 1 -> 1\n"
+	if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out, errw strings.Builder
+	if code := run([]string{"run", "-circuit", path, "-trials", "1024"}, &out, &errw); code != 2 {
+		t.Fatalf("exit code %d, want 2; stderr:\n%s", code, errw.String())
+	}
+	if lines := strings.Count(errw.String(), "\n"); lines != 1 || !strings.Contains(errw.String(), "line 4") {
+		t.Fatalf("stderr has %d lines, want one naming line 4:\n%s", lines, errw.String())
 	}
 }

@@ -22,7 +22,6 @@ package backend
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -33,7 +32,6 @@ import (
 	"edm/internal/dist"
 	"edm/internal/memo"
 	"edm/internal/noise"
-	"edm/internal/pool"
 	"edm/internal/rng"
 	"edm/internal/statevec"
 )
@@ -44,7 +42,7 @@ import (
 // policies skip compilation and fusion.
 type Machine struct {
 	cal   *device.Calibration
-	progs progCache
+	progs *memo.Cache[progEntry] // cache.go
 	// runs memoizes whole trial runs by (circuit, trials, RNG state);
 	// nil unless EnableRunCache was called. See runcache.go.
 	runs *memo.Cache[*runEntry]
@@ -96,7 +94,7 @@ func New(cal *device.Calibration) *Machine {
 	if err := cal.Validate(); err != nil {
 		panic(fmt.Sprintf("backend: invalid calibration: %v", err))
 	}
-	return &Machine{cal: cal}
+	return &Machine{cal: cal, progs: memo.New[progEntry](progCacheLimit)}
 }
 
 // Calibration returns the machine's runtime calibration.
@@ -347,8 +345,9 @@ func (p *program) addDamp(cal *device.Calibration, lq, q int, dt float64) {
 	p.steps = append(p.steps, s)
 }
 
-// parallelThreshold is the trial count above which Run fans trials out
-// across CPU cores. Below it the goroutine overhead is not worth paying.
+// parallelThreshold is the trial count from which Run fans trials out
+// across CPU cores (trialWorkers). Below it the goroutine overhead is
+// not worth paying.
 const parallelThreshold = 256
 
 // Run is RunCtx with a context that is never cancelled.
@@ -426,62 +425,35 @@ func (m *Machine) runFresh(ctx context.Context, exe *circuit.Circuit, trials int
 
 // runProgram executes a compiled program for the given number of trials.
 // Prefix-planned programs run the batched replay engine (sched.go);
-// stabilizer programs and the legacy loop (EngineLegacy, or a program
-// the tape cannot model) run striped across workers. A non-nil cancel
-// flag makes the trial loops stop early once it flips true; the partial
-// histogram is then discarded by the caller, so the flag never affects a
-// result that is actually returned.
+// stabilizer programs and the legacy loop (EngineLegacy) stripe their
+// trials statically: worker w owns trials w, w+workers, w+2*workers, ...
+// A non-nil cancel flag makes the trial loops stop early once it flips
+// true; the partial histogram is then discarded by the caller, so the
+// flag never affects a result that is actually returned.
 func (m *Machine) runProgram(prog *program, sp *stabPlan, trials int, r *rng.RNG, cancel *atomic.Bool) *dist.Counts {
 	if sp == nil {
 		if plan := m.planFor(prog); plan != nil {
 			return m.runBatched(prog, plan, trials, r, cancel)
 		}
 	}
-	stripe := func(start, stride int) *dist.Counts {
+	workers := trialWorkers(trials)
+	return fanOut(workers, prog.numClbits, func(w int, counts *dist.Counts, tally *trialTally) {
 		if sp != nil {
-			return m.runStabStripe(prog, sp, start, stride, trials, r, cancel)
+			m.runStabStripe(prog, sp, w, workers, trials, r, counts, tally, cancel)
+		} else {
+			m.runStripe(prog, w, workers, trials, r, counts, cancel)
 		}
-		return m.runStripe(prog, start, stride, trials, r, cancel)
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if trials < parallelThreshold || workers < 2 {
-		pool.Acquire()
-		defer pool.Release()
-		return stripe(0, 1)
-	}
-	// Static striping: worker w owns trials w, w+workers, w+2*workers, ...
-	// Each worker fills a private histogram; merging integer counts is
-	// commutative, so the result is bit-identical to the serial path.
-	// Workers gate through the process-wide compute-token pool so trial
-	// striping composes with member- and experiment-level fan-out.
-	partial := make([]*dist.Counts, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			pool.Acquire()
-			defer pool.Release()
-			partial[w] = stripe(w, workers)
-		}(w)
-	}
-	wg.Wait()
-	counts := dist.NewCounts(prog.numClbits)
-	for _, p := range partial {
-		counts.Merge(p)
-	}
-	return counts
+	})
 }
 
 // runStripe executes trials start, start+stride, ... through the legacy
-// loop, reusing one statevector and one classical-bit scratch across
-// all of them. The scratch statevector comes from the process-wide
-// buffer pool, so stripes across runs and workers recycle a handful of
-// buffers. A non-nil cancel flag is polled once per trial — a few
-// nanoseconds against a trial's microseconds — and abandons the stripe
-// when set.
-func (m *Machine) runStripe(prog *program, start, stride, trials int, r *rng.RNG, cancel *atomic.Bool) *dist.Counts {
-	counts := dist.NewCounts(prog.numClbits)
+// loop into counts, reusing one statevector and one classical-bit
+// scratch across all of them. The scratch statevector comes from the
+// process-wide buffer pool, so stripes across runs and workers recycle a
+// handful of buffers. A non-nil cancel flag is polled once per trial — a
+// few nanoseconds against a trial's microseconds — and abandons the
+// stripe when set.
+func (m *Machine) runStripe(prog *program, start, stride, trials int, r *rng.RNG, counts *dist.Counts, cancel *atomic.Bool) {
 	scratch := statevec.GetState(prog.nLocal)
 	defer statevec.PutState(scratch)
 	trueBits := make([]int, prog.numClbits)
@@ -491,7 +463,6 @@ func (m *Machine) runStripe(prog *program, start, stride, trials int, r *rng.RNG
 		}
 		counts.Observe(m.runTrajectory(prog, scratch, trueBits, r.DeriveN("trial", t)))
 	}
-	return counts
 }
 
 // RunDist is Run followed by histogram normalization.

@@ -404,32 +404,72 @@ func TestMergedCountsAcrossMappings(t *testing.T) {
 	_ = dist.Merge([]*dist.Dist{c1.Dist()})
 }
 
-// TestParallelMatchesSerial: the striped parallel execution path must be
-// bit-identical to the serial path, because every trial derives its RNG
-// stream from its index alone.
+// TestParallelMatchesSerial: every trial loop — the tape tree with
+// batched replay (the default engine), the legacy loop and the tableau —
+// returns byte-identical Counts at every width, because every trial
+// derives its RNG stream from its index alone and per-worker histograms
+// merge commutatively. 257 trials cross phase A's 256-trial chunk
+// boundary, and at 3001 trials the replay units outnumber the workers.
+// Widths above the CPU count still run that many workers.
 func TestParallelMatchesSerial(t *testing.T) {
-	m := noisyMachine(41)
 	c := circuit.New(14, 3)
 	c.H(0).CX(0, 1).CX(1, 2).T(2).H(2).Measure(0, 0).Measure(1, 1).Measure(2, 2)
+	legacy := noisyMachine(41)
+	legacy.SetTrajectoryEngine(EngineLegacy)
+	loops := []struct {
+		name string
+		m    *Machine
+		exe  *circuit.Circuit
+		// ran checks, from the engine counters around one run of the
+		// given trials on the given width, that the intended loop ran.
+		ran func(d EngineStats, trials, procs int) bool
+	}{
+		{"tape tree", noisyMachine(41), c, func(d EngineStats, trials, procs int) bool {
+			ok := d.FullDominantTrials+d.DivergentTrials == int64(trials) && d.BatchTrials == d.DivergentTrials
+			if trials > 3000 {
+				ok = ok && d.BatchUnits > int64(procs)
+			}
+			return ok
+		}},
+		{"legacy", legacy, c, func(d EngineStats, _, _ int) bool {
+			return d.FullDominantTrials+d.DivergentTrials+d.StabTrials == 0
+		}},
+		{"tableau", cliffordMachine(8, 3), randomCliffordChain(8, rng.New(5)), func(d EngineStats, trials, _ int) bool {
+			return d.StabTrials == int64(trials)
+		}},
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, l := range loops {
+		for _, trials := range []int{257, 3001} {
+			var want *dist.Counts
+			for _, procs := range []int{1, 2, 4} {
+				runtime.GOMAXPROCS(procs)
+				before := EngineStatsSnapshot()
+				got, err := l.m.Run(l.exe, trials, rng.New(77))
+				if err != nil {
+					t.Fatalf("%s: %v", l.name, err)
+				}
+				if d := statsDelta(before, EngineStatsSnapshot()); !l.ran(d, trials, procs) {
+					t.Errorf("%s, %d trials, GOMAXPROCS=%d: counters %+v do not show the loop running", l.name, trials, procs, d)
+				}
+				if procs == 1 {
+					want = got
+				} else if !countsEqual(want, got) {
+					t.Errorf("%s, %d trials: GOMAXPROCS=%d changed the histogram", l.name, trials, procs)
+				}
+			}
+		}
+	}
+}
 
-	old := runtime.GOMAXPROCS(1)
-	serial, err := m.Run(c, 3000, rng.New(77))
-	if err != nil {
-		runtime.GOMAXPROCS(old)
-		t.Fatal(err)
-	}
-	// Force several workers even on a single-core machine so the striped
-	// path genuinely executes.
-	runtime.GOMAXPROCS(4)
-	parallel, err := m.Run(c, 3000, rng.New(77))
-	runtime.GOMAXPROCS(old)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if serial.Total() != parallel.Total() {
-		t.Fatalf("totals differ: %d vs %d", serial.Total(), parallel.Total())
-	}
-	if !serial.Dist().Equal(parallel.Dist(), 0) {
-		t.Fatal("parallel execution changed the histogram")
+// statsDelta returns the per-trial engine counters accumulated between
+// two snapshots.
+func statsDelta(a, b EngineStats) EngineStats {
+	return EngineStats{
+		FullDominantTrials: b.FullDominantTrials - a.FullDominantTrials,
+		DivergentTrials:    b.DivergentTrials - a.DivergentTrials,
+		StabTrials:         b.StabTrials - a.StabTrials,
+		BatchUnits:         b.BatchUnits - a.BatchUnits,
+		BatchTrials:        b.BatchTrials - a.BatchTrials,
 	}
 }

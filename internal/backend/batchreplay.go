@@ -103,31 +103,6 @@ type stochOp struct {
 	apply func(lane *statevec.State, bits []int, branch int)
 }
 
-// batchTally accumulates batched-replay counters inside one worker so
-// the unit loop touches no atomics; the scheduler flushes it once.
-type batchTally struct {
-	units, trials, lanes, clones, steals int64
-}
-
-func (t *batchTally) flush() {
-	if t.units != 0 {
-		engineStats.batchUnits.Add(t.units)
-	}
-	if t.trials != 0 {
-		engineStats.batchTrials.Add(t.trials)
-	}
-	if t.lanes != 0 {
-		engineStats.batchLanes.Add(t.lanes)
-	}
-	if t.clones != 0 {
-		engineStats.batchClones.Add(t.clones)
-	}
-	if t.steals != 0 {
-		engineStats.unitSteals.Add(t.steals)
-	}
-	*t = batchTally{}
-}
-
 // applyUnitaryStepBatch is applyUnitaryStep across every live lane of a
 // batch: the same matClass dispatch onto the batched flat kernels.
 func applyUnitaryStepBatch(b *statevec.Batch, st *step, q0, q1 int) {
@@ -176,7 +151,7 @@ func applyUnitaryStepBatch(b *statevec.Batch, st *step, q0, q1 int) {
 // And the keeper branch (the most populated; ties to the smallest id)
 // reuses the group's lane, so a group that does not split does no state
 // copying at all. The lane invariant guarantees every clone a lane.
-func partitionStoch(b *statevec.Batch, us *unitState, op stochOp, tally *batchTally) {
+func partitionStoch(b *statevec.Batch, us *unitState, op stochOp, tally *trialTally) {
 	us.gnext = us.gnext[:0]
 	out := us.swap[:0]
 	for gi := range us.groups {
@@ -261,7 +236,7 @@ func partitionStoch(b *statevec.Batch, us *unitState, op stochOp, tally *batchTa
 // every local qubit; its lanes start at the checkpoint's width, widen
 // at every entry and narrow at every terminal measurement. A cancelled
 // run returns early; the caller discards partial counts.
-func (m *Machine) processUnit(prog *program, plan *prefixPlan, u replayUnit, base *rng.RNG, counts *dist.Counts, tally *batchTally, cancel *atomic.Bool) {
+func (m *Machine) processUnit(prog *program, plan *prefixPlan, u replayUnit, base *rng.RNG, counts *dist.Counts, tally *trialTally, cancel *atomic.Bool) {
 	ck := u.ck
 	lanes := len(u.ids)
 	b := statevec.GetBatch(prog.nLocal, lanes)
@@ -329,10 +304,9 @@ func (m *Machine) processUnit(prog *program, plan *prefixPlan, u replayUnit, bas
 				},
 			}, tally)
 		case stepDamp:
-			// Plan existence guarantees both Kraus sets have exactly two
-			// operators (buildPrefixPlan falls back otherwise), so each
-			// channel is one two-way stochastic sub-step with the same
-			// draw sequence as State.ApplyKraus1Q.
+			// addDamp builds both Kraus sets with exactly two operators,
+			// so each channel is one two-way stochastic sub-step with the
+			// same draw sequence as State.ApplyKraus1Q.
 			for _, ks := range [2][]circuit.Matrix2{st.ampK, st.phK} {
 				if ks == nil {
 					continue

@@ -1,9 +1,8 @@
 package backend
 
 import (
-	"sync"
-
 	"edm/internal/circuit"
+	"edm/internal/memo"
 )
 
 // progCacheLimit bounds the number of compiled programs kept per machine.
@@ -12,87 +11,41 @@ import (
 // reuse while keeping worst-case memory trivial.
 const progCacheLimit = 64
 
-// progEntry is one cached compile+fuse result, with enough of the source
-// circuit's shape to reject a (vanishingly unlikely) fingerprint
-// collision.
+// progEntry is one cached compile+fuse result. Programs are immutable
+// after compilation, so cached values are shared freely across
+// goroutines. Compile errors depend only on the circuit and the
+// machine's calibration, so they are cached alongside programs.
 type progEntry struct {
-	prog      *program
-	numQubits int
-	numClbits int
-	numOps    int
-}
-
-// progCache is a concurrency-safe, FIFO-bounded map from circuit
-// fingerprints to compiled programs. Programs are immutable after
-// compilation, so cached values are shared freely across goroutines.
-type progCache struct {
-	mu        sync.Mutex
-	entries   map[uint64]progEntry
-	order     []uint64 // insertion order, for FIFO eviction
-	hits      uint64
-	misses    uint64
-	evictions uint64
+	prog *program
+	err  error
 }
 
 // CacheStats is a snapshot of the compiled-program cache counters.
-type CacheStats struct {
-	Hits      uint64
-	Misses    uint64
-	Evictions uint64
-	Entries   int
-}
+type CacheStats = memo.Stats
 
 // CacheStats returns the machine's compiled-program cache counters.
-func (m *Machine) CacheStats() CacheStats {
-	c := &m.progs
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return CacheStats{Hits: c.hits, Misses: c.misses, Evictions: c.evictions, Entries: len(c.entries)}
+func (m *Machine) CacheStats() CacheStats { return m.progs.Stats() }
+
+// progKey keys a circuit in the program cache: its fingerprint mixed with
+// its shape, so that a (vanishingly unlikely) fingerprint collision
+// between circuits of different shapes still misses.
+func progKey(exe *circuit.Circuit) uint64 {
+	h := memo.Mix(memo.Seed(), exe.Fingerprint())
+	h = memo.Mix(h, uint64(exe.NumQubits))
+	h = memo.Mix(h, uint64(exe.NumClbits))
+	return memo.Mix(h, uint64(len(exe.Ops)))
 }
 
 // getProgram returns the compiled, fused program for the executable,
-// reusing a cached result when the circuit fingerprint matches.
-// Compilation runs outside the lock; two goroutines racing on the same
-// new circuit may both compile, and the second insert wins — harmless,
-// since compilation is deterministic.
+// reusing a cached result when the circuit matches. Concurrent misses on
+// one circuit share a single compile.
 func (m *Machine) getProgram(exe *circuit.Circuit) (*program, error) {
-	fp := exe.Fingerprint()
-	c := &m.progs
-	c.mu.Lock()
-	if e, ok := c.entries[fp]; ok &&
-		e.numQubits == exe.NumQubits && e.numClbits == exe.NumClbits && e.numOps == len(exe.Ops) {
-		c.hits++
-		c.mu.Unlock()
-		return e.prog, nil
-	}
-	c.misses++
-	c.mu.Unlock()
-
-	raw, err := m.compile(exe)
-	if err != nil {
-		return nil, err
-	}
-	prog := fuseProgram(raw)
-
-	c.mu.Lock()
-	if c.entries == nil {
-		c.entries = make(map[uint64]progEntry, progCacheLimit)
-	}
-	if _, exists := c.entries[fp]; !exists {
-		c.order = append(c.order, fp)
-	}
-	c.entries[fp] = progEntry{prog: prog, numQubits: exe.NumQubits, numClbits: exe.NumClbits, numOps: len(exe.Ops)}
-	for len(c.entries) > progCacheLimit {
-		oldest := c.order[0]
-		c.order = c.order[1:]
-		if oldest != fp {
-			delete(c.entries, oldest)
-			c.evictions++
-		} else {
-			// Never evict the entry just inserted; rotate it to the back.
-			c.order = append(c.order, oldest)
+	e := m.progs.Get(progKey(exe), func() progEntry {
+		raw, err := m.compile(exe)
+		if err != nil {
+			return progEntry{err: err}
 		}
-	}
-	c.mu.Unlock()
-	return prog, nil
+		return progEntry{prog: fuseProgram(raw)}
+	})
+	return e.prog, e.err
 }

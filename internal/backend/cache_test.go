@@ -123,3 +123,34 @@ func TestProgramCacheConcurrent(t *testing.T) {
 		t.Fatalf("no cache hits across 128 runs: %+v", st)
 	}
 }
+
+// TestProgramCacheSingleflight: concurrent misses on one circuit compile
+// it once and share the program.
+func TestProgramCacheSingleflight(t *testing.T) {
+	m := noisyMachine(7)
+	c := bell(t)
+	const n = 8
+	progs := make(chan *program, n)
+	start := make(chan struct{})
+	for g := 0; g < n; g++ {
+		go func() {
+			<-start
+			p, err := m.getProgram(c)
+			if err != nil {
+				t.Error(err)
+			}
+			progs <- p
+		}()
+	}
+	close(start)
+	first := <-progs
+	for g := 1; g < n; g++ {
+		if p := <-progs; p != first {
+			t.Fatal("concurrent misses returned different programs")
+		}
+	}
+	st := m.CacheStats()
+	if st.Misses != 1 || st.Hits+st.Waits != n-1 || st.Entries != 1 {
+		t.Fatalf("stats = %+v, want 1 miss, %d hits+waits, 1 entry", st, n-1)
+	}
+}

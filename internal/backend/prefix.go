@@ -167,9 +167,6 @@ type treeNode struct {
 	fork     tapeEntry    // valid iff children[0] != nil
 	children [2]*treeNode // indexed by tapeEntry.branch outcome
 	domBits  []int        // leaf only: bits after the full path
-	// prob is the path probability of reaching this node along recorded
-	// branches, as estimated by the builder; reporting only.
-	prob float64
 }
 
 // isLeaf reports whether the node ends a dominant path.
@@ -369,11 +366,10 @@ func checkpointSpacing(nSteps int) int {
 // -cachestats). Plan-level counters cost nothing per trial; trial-level
 // counters are accumulated per worker and flushed once.
 var engineStats struct {
-	plansBuilt    atomic.Int64
-	planFallbacks atomic.Int64
-	treeLeaves    atomic.Int64
-	fullDominant  atomic.Int64
-	divergent     atomic.Int64
+	plansBuilt   atomic.Int64
+	treeLeaves   atomic.Int64
+	fullDominant atomic.Int64
+	divergent    atomic.Int64
 
 	// Stabilizer engine counters (stab.go).
 	stabPrograms    atomic.Int64
@@ -388,17 +384,12 @@ var engineStats struct {
 	batchTrials  atomic.Int64
 	batchLanes   atomic.Int64
 	batchClones  atomic.Int64
-	unitSteals   atomic.Int64
 }
 
 // EngineStats is a snapshot of the trajectory engine's counters.
 type EngineStats struct {
-	// PlansBuilt / PlanFallbacks count prefix plans built vs programs
-	// that fell back to the legacy loop (a Kraus set the tape cannot
-	// model). A nonzero fallback count flags that campaigns are silently
-	// running without prefix sharing.
-	PlansBuilt    int64
-	PlanFallbacks int64
+	// PlansBuilt counts prefix plans built.
+	PlansBuilt int64
 	// TreeLeaves is the total number of dominant paths across built
 	// plans (1 per plan when no fork criterion fired).
 	TreeLeaves int64
@@ -433,8 +424,9 @@ type EngineStats struct {
 	BatchTrials     int64
 	BatchLanes      int64
 	BatchLaneClones int64
-	// UnitSteals counts replay units migrated between workers by the
-	// work-stealing scheduler.
+	// UnitSteals is always 0: replay units are claimed from one shared
+	// cursor and never migrate between workers. The field stays because
+	// perfbench reports it.
 	UnitSteals int64
 }
 
@@ -443,7 +435,6 @@ type EngineStats struct {
 func EngineStatsSnapshot() EngineStats {
 	return EngineStats{
 		PlansBuilt:         engineStats.plansBuilt.Load(),
-		PlanFallbacks:      engineStats.planFallbacks.Load(),
 		TreeLeaves:         engineStats.treeLeaves.Load(),
 		FullDominantTrials: engineStats.fullDominant.Load(),
 		DivergentTrials:    engineStats.divergent.Load(),
@@ -458,14 +449,12 @@ func EngineStatsSnapshot() EngineStats {
 		BatchTrials:     engineStats.batchTrials.Load(),
 		BatchLanes:      engineStats.batchLanes.Load(),
 		BatchLaneClones: engineStats.batchClones.Load(),
-		UnitSteals:      engineStats.unitSteals.Load(),
 	}
 }
 
 // ResetEngineStats zeroes the engine counters (tests and benchmarks).
 func ResetEngineStats() {
 	engineStats.plansBuilt.Store(0)
-	engineStats.planFallbacks.Store(0)
 	engineStats.treeLeaves.Store(0)
 	engineStats.fullDominant.Store(0)
 	engineStats.divergent.Store(0)
@@ -479,32 +468,10 @@ func ResetEngineStats() {
 	engineStats.batchTrials.Store(0)
 	engineStats.batchLanes.Store(0)
 	engineStats.batchClones.Store(0)
-	engineStats.unitSteals.Store(0)
-}
-
-// engineTally accumulates per-trial counters inside one worker so the
-// hot loop touches no atomics; the worker flushes it once.
-type engineTally struct {
-	full int64
-	div  int64
-	stab int64
-}
-
-func (t *engineTally) flush() {
-	if t.full != 0 {
-		engineStats.fullDominant.Add(t.full)
-	}
-	if t.div != 0 {
-		engineStats.divergent.Add(t.div)
-	}
-	if t.stab != 0 {
-		engineStats.stabTrials.Add(t.stab)
-	}
-	t.full, t.div, t.stab = 0, 0, 0
 }
 
 // planFor returns the program's prefix plan, building it on first use.
-// It returns nil when the machine runs the legacy engine.
+// It returns nil exactly when the machine runs the legacy engine.
 func (m *Machine) planFor(prog *program) *prefixPlan {
 	if m.engine == EngineLegacy {
 		return nil
@@ -527,7 +494,7 @@ type treeBuilder struct {
 }
 
 func (b *treeBuilder) newNode(parent *treeNode) *treeNode {
-	n := &treeNode{id: len(b.plan.nodes), parent: parent, prob: 1}
+	n := &treeNode{id: len(b.plan.nodes), parent: parent}
 	if parent != nil {
 		n.depth = parent.depth + 1
 	}
@@ -583,19 +550,9 @@ func (b *treeBuilder) snapshot(node *treeNode, s *statevec.State, bits []int, st
 // once per segment — unitary steps evolve the state through the shared
 // kernels, stochastic steps record their threshold and apply their
 // preferred branch — and near-50/50 comparisons fork the build while
-// the leaf budget lasts. It returns nil if the schedule contains a
-// stochastic step the tape cannot model (a Kraus set that is not two
-// operators — nothing the noise model emits), which falls the machine
-// back to the legacy loop.
+// the leaf budget lasts. Every damping step's Kraus sets have exactly
+// two operators (addDamp), so each selection is one tape entry.
 func buildPrefixPlan(prog *program) *prefixPlan {
-	for i := range prog.steps {
-		st := &prog.steps[i]
-		if st.kind == stepDamp &&
-			((st.ampK != nil && len(st.ampK) != 2) || (st.phK != nil && len(st.phK) != 2)) {
-			engineStats.planFallbacks.Add(1)
-			return nil
-		}
-	}
 	plan := &prefixPlan{reg: registerSchedule(prog)}
 	b := &treeBuilder{
 		prog:      prog,
@@ -705,8 +662,7 @@ func (b *treeBuilder) build(node *treeNode, s *statevec.State, bits []int, start
 // branch's state update. The dominant branch continues in place; the
 // minority branch gets a copy with room for every qubit to enter.
 func (b *treeBuilder) fork(node *treeNode, s *statevec.State, bits []int, entry tapeEntry,
-	dom int, pDom float64, stepIdx, nextSub, tapeIdx int,
-	apply func(branch int, bs *statevec.State, bb []int)) {
+	dom, stepIdx, nextSub, tapeIdx int, apply func(branch int, bs *statevec.State, bb []int)) {
 	node.fork = entry
 	b.leaves++
 	other := statevec.GetState(b.prog.nLocal)
@@ -714,12 +670,10 @@ func (b *treeBuilder) fork(node *treeNode, s *statevec.State, bits []int, entry 
 	other.CopyFrom(s)
 	otherBits := append([]int(nil), bits...)
 	cd := b.newNode(node)
-	cd.prob = node.prob * pDom
 	node.children[dom] = cd
 	apply(dom, s, bits)
 	b.build(cd, s, bits, stepIdx, nextSub, tapeIdx)
 	co := b.newNode(node)
-	co.prob = node.prob * (1 - pDom)
 	node.children[1-dom] = co
 	apply(1-dom, other, otherBits)
 	b.build(co, other, otherBits, stepIdx, nextSub, tapeIdx)
@@ -746,7 +700,7 @@ func (b *treeBuilder) emitKraus(node *treeNode, s *statevec.State, bits []int,
 	entry := tapeEntry{op: op, a: probs[0], b: total, step: int32(stepIdx)}
 	if minor := probs[1-dom] / total; minor >= forkMinProb && b.canFork() {
 		*tapeIdx++
-		b.fork(node, s, bits, entry, dom, probs[dom]/total, stepIdx, nextSub, *tapeIdx,
+		b.fork(node, s, bits, entry, dom, stepIdx, nextSub, *tapeIdx,
 			func(branch int, bs *statevec.State, _ []int) {
 				krausBranch(bs, ks, q, branch, probs[branch])
 			})
@@ -779,12 +733,8 @@ func (b *treeBuilder) emitMeasure(node *treeNode, s *statevec.State, bits []int,
 		minor = 1 - p1
 	}
 	if minor >= forkMinProb && b.canFork() {
-		pDom := p1
-		if dom == 0 {
-			pDom = 1 - p1
-		}
 		*tapeIdx++
-		b.fork(node, s, bits, entry, dom, pDom, stepIdx, subAfterA, *tapeIdx,
+		b.fork(node, s, bits, entry, dom, stepIdx, subAfterA, *tapeIdx,
 			func(branch int, bs *statevec.State, bb []int) {
 				project(bs, q, branch, drop)
 				bb[st.cbit] = branch

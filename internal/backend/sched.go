@@ -24,77 +24,30 @@ import (
 // Between phases the coordinator buckets divergent trials by their
 // restart checkpoint — checkpoints are interned per plan, so pointer
 // identity keys (tree path, tightest checkpoint, tape segment) at once
-// — sorts each bucket's trials, and fragments big buckets into units no
-// larger than the unit lane budget (maxLanesFor).
+// — sorts each bucket's trials, fragments big buckets into units no
+// larger than the unit lane budget (maxLanesFor), and orders the units
+// by their first trial.
 //
-// Phase B (replay): units are dealt round-robin to per-worker deques.
-// A worker pops from its own deque; an empty worker steals the front
-// half of the first non-empty victim's deque in one batch. Units never
-// spawn units (the lane invariant, batchreplay.go), so a worker that
-// finds every deque empty is done: work in flight belongs to a worker
-// that will finish it.
+// Phase B (replay): workers claim units one at a time, in that order,
+// from a second atomic cursor. Units never spawn units (the lane
+// invariant, batchreplay.go), so a worker that finds the cursor past
+// the last unit is done: work in flight belongs to a worker that will
+// finish it.
 //
 // Determinism: every trial draws from its own derived stream positioned
 // exactly where the legacy loop would position it, and the final
 // histogram is a merge of integer counts, which is commutative — so
 // Counts are byte-identical to the legacy loop at any GOMAXPROCS and
-// any steal interleaving.
+// any claim interleaving.
 //
-// Workers gate through the process-wide compute-token pool within each
-// phase and hold no token across the inter-phase barrier, so concurrent
-// Runs cannot deadlock on tokens.
+// Each phase is one fanOut, so workers hold a compute token only within
+// a phase and none across the inter-phase barrier; concurrent Runs
+// cannot deadlock on tokens.
 
 // divTrial records one divergent trial found in phase A.
 type divTrial struct {
 	t  int
 	ck *checkpoint
-}
-
-// unitDeque is one worker's queue of replay units. A mutex (not a
-// lock-free deque) is enough: pops and steals are per-unit, and a unit
-// amortizes hundreds of gate applications.
-type unitDeque struct {
-	mu    sync.Mutex
-	units []replayUnit
-}
-
-func (d *unitDeque) push(us ...replayUnit) {
-	d.mu.Lock()
-	d.units = append(d.units, us...)
-	d.mu.Unlock()
-}
-
-func (d *unitDeque) pop() (replayUnit, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	n := len(d.units)
-	if n == 0 {
-		return replayUnit{}, false
-	}
-	u := d.units[n-1]
-	d.units[n-1] = replayUnit{}
-	d.units = d.units[:n-1]
-	return u, true
-}
-
-// stealHalf appends the front ceil(n/2) units of the deque to buf and
-// removes them. The front is the victim's oldest work — the opposite
-// end from its own pops, so contention on hot units is minimal.
-func (d *unitDeque) stealHalf(buf []replayUnit) []replayUnit {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	n := len(d.units)
-	if n == 0 {
-		return buf
-	}
-	k := (n + 1) / 2
-	buf = append(buf, d.units[:k]...)
-	rem := copy(d.units, d.units[k:])
-	for i := rem; i < n; i++ {
-		d.units[i] = replayUnit{}
-	}
-	d.units = d.units[:rem]
-	return buf
 }
 
 // testHookReadout, when set by a test, observes every trial at the
@@ -104,40 +57,94 @@ func (d *unitDeque) stealHalf(buf []replayUnit) []replayUnit {
 // legacy loop's stream. Production runs leave it nil.
 var testHookReadout func(trial int, out bitstr.BitString, final *rng.RNG)
 
+// trialTally accumulates one worker's engine counters so the trial loops
+// touch no atomics; fanOut flushes it once per worker.
+type trialTally struct {
+	full, div, stab              int64 // leaf-resolved, divergent and tableau trials
+	units, trials, lanes, clones int64 // batched replay (batchreplay.go)
+}
+
+func (t *trialTally) flush() {
+	add := func(a *atomic.Int64, n int64) {
+		if n != 0 {
+			a.Add(n)
+		}
+	}
+	add(&engineStats.fullDominant, t.full)
+	add(&engineStats.divergent, t.div)
+	add(&engineStats.stabTrials, t.stab)
+	add(&engineStats.batchUnits, t.units)
+	add(&engineStats.batchTrials, t.trials)
+	add(&engineStats.batchLanes, t.lanes)
+	add(&engineStats.batchClones, t.clones)
+}
+
+// trialWorkers returns how many workers a loop over the given number of
+// trials fans out to: GOMAXPROCS from parallelThreshold trials up, one
+// below it or on a single CPU, where the goroutine overhead is not worth
+// paying.
+func trialWorkers(trials int) int {
+	if w := runtime.GOMAXPROCS(0); trials >= parallelThreshold && w > 1 {
+		return w
+	}
+	return 1
+}
+
+// fanOut is the one worker fan-out of every trial loop. It runs body on
+// the given number of workers (on the caller's goroutine when there is
+// one), each holding one compute token from the process-wide pool for
+// its lifetime so trial workers compose with member- and experiment-level
+// fan-out, and each filling a private histogram and tally. Each loop
+// splits its own work by the worker index w. fanOut flushes the tallies
+// and returns the merged histogram: integer counts merge commutatively,
+// so the result does not depend on which worker ran which trial.
+func fanOut(workers, nbits int, body func(w int, counts *dist.Counts, tally *trialTally)) *dist.Counts {
+	partial := make([]*dist.Counts, workers)
+	work := func(w int) {
+		pool.Acquire()
+		defer pool.Release()
+		var tally trialTally
+		partial[w] = dist.NewCounts(nbits)
+		body(w, partial[w], &tally)
+		tally.flush()
+	}
+	if workers == 1 {
+		work(0)
+		return partial[0]
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work(w)
+		}()
+	}
+	wg.Wait()
+	for _, p := range partial[1:] {
+		partial[0].Merge(p)
+	}
+	return partial[0]
+}
+
 // runBatched runs `trials` trials of prog through the batched replay
 // engine. Counts are byte-identical to the legacy loop.
 func (m *Machine) runBatched(prog *program, plan *prefixPlan, trials int, r *rng.RNG, cancel *atomic.Bool) *dist.Counts {
-	workers := runtime.GOMAXPROCS(0)
-	if trials < parallelThreshold || workers < 2 {
-		workers = 1
-	}
+	workers := trialWorkers(trials)
 
 	// Phase A: tape-tree walks, dominant trials completed inline.
-	partial := make([]*dist.Counts, workers)
 	divLists := make([][]divTrial, workers)
-	var cursor atomic.Int64
+	var next atomic.Int64
 	const chunk = 256
-	var wg sync.WaitGroup
-	phaseA := func(w int) {
-		defer wg.Done()
-		pool.Acquire()
-		defer pool.Release()
-		counts := dist.NewCounts(prog.numClbits)
+	counts := fanOut(workers, prog.numClbits, func(w int, counts *dist.Counts, tally *trialTally) {
 		trueBits := make([]int, prog.numClbits)
-		var tally engineTally
 		var divs []divTrial
-		for {
-			if cancel != nil && cancel.Load() {
-				break
-			}
-			start := int(cursor.Add(chunk)) - chunk
+		for cancel == nil || !cancel.Load() {
+			start := int(next.Add(chunk)) - chunk
 			if start >= trials {
 				break
 			}
-			end := start + chunk
-			if end > trials {
-				end = trials
-			}
+			end := min(start+chunk, trials)
 			for t := start; t < end; t++ {
 				rt := r.DeriveN("trial", t)
 				node, divStep, _ := walkTape(plan, rt)
@@ -155,15 +162,8 @@ func (m *Machine) runBatched(prog *program, plan *prefixPlan, trials int, r *rng
 				}
 			}
 		}
-		tally.flush()
-		partial[w] = counts
 		divLists[w] = divs
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go phaseA(w)
-	}
-	wg.Wait()
+	})
 
 	// Bucket by checkpoint and fragment into units of at most the lane
 	// budget (the lane invariant, batchreplay.go).
@@ -183,60 +183,24 @@ func (m *Machine) runBatched(prog *program, plan *prefixPlan, trials int, r *rng
 		}
 		units = append(units, replayUnit{ck: ck, ids: ids})
 	}
-	if len(buckets) > 0 {
-		engineStats.batchBuckets.Add(int64(len(buckets)))
+	if len(units) == 0 {
+		return counts
 	}
-	// Map order is random; deal units in a fixed order so the schedule
+	engineStats.batchBuckets.Add(int64(len(buckets)))
+	// Map order is random; claim units in a fixed order so the schedule
 	// (though not the result — counts merge commutatively) is stable.
 	sort.Slice(units, func(i, j int) bool { return units[i].ids[0] < units[j].ids[0] })
 
-	merge := func() *dist.Counts {
-		counts := dist.NewCounts(prog.numClbits)
-		for _, p := range partial {
-			counts.Merge(p)
-		}
-		return counts
-	}
-	if len(units) == 0 {
-		return merge()
-	}
-
-	// Phase B: batched suffix replay with work stealing.
-	dq := make([]unitDeque, workers)
-	for i, u := range units {
-		dq[i%workers].units = append(dq[i%workers].units, u)
-	}
-	phaseB := func(w int) {
-		defer wg.Done()
-		pool.Acquire()
-		defer pool.Release()
-		counts := partial[w] // merge replay outcomes into the walk histogram
-		var tally batchTally
-		var stolen []replayUnit
+	// Phase B: batched suffix replay, units claimed from a shared cursor.
+	var claimed atomic.Int64
+	counts.Merge(fanOut(min(workers, len(units)), prog.numClbits, func(_ int, counts *dist.Counts, tally *trialTally) {
 		for cancel == nil || !cancel.Load() {
-			u, ok := dq[w].pop()
-			if !ok {
-				stolen = stolen[:0]
-				for v := 0; v < workers && len(stolen) == 0; v++ {
-					if v != w {
-						stolen = dq[v].stealHalf(stolen)
-					}
-				}
-				if len(stolen) == 0 {
-					break
-				}
-				tally.steals += int64(len(stolen))
-				dq[w].push(stolen...)
-				continue
+			i := int(claimed.Add(1)) - 1
+			if i >= len(units) {
+				break
 			}
-			m.processUnit(prog, plan, u, r, counts, &tally, cancel)
+			m.processUnit(prog, plan, units[i], r, counts, tally, cancel)
 		}
-		tally.flush()
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go phaseB(w)
-	}
-	wg.Wait()
-	return merge()
+	}))
+	return counts
 }

@@ -194,15 +194,13 @@ func analyzeStab(prog *program) *stabAnalysis {
 	return a
 }
 
-// runStabStripe executes trials start, start+stride, ... on the tableau,
-// reusing one tableau and one classical-bit scratch across all of them.
-// It is the stabilizer twin of runStripe and honors the same striping
-// and cancellation contracts.
-func (m *Machine) runStabStripe(prog *program, sp *stabPlan, start, stride, trials int, r *rng.RNG, cancel *atomic.Bool) *dist.Counts {
-	counts := dist.NewCounts(prog.numClbits)
+// runStabStripe executes trials start, start+stride, ... on the tableau
+// into counts, reusing one tableau and one classical-bit scratch across
+// all of them. It is the stabilizer twin of runStripe and honors the
+// same striping and cancellation contracts.
+func (m *Machine) runStabStripe(prog *program, sp *stabPlan, start, stride, trials int, r *rng.RNG, counts *dist.Counts, tally *trialTally, cancel *atomic.Bool) {
 	tab := stabilizer.New(prog.nLocal)
 	trueBits := make([]int, prog.numClbits)
-	var tally engineTally
 	for t := start; t < trials; t += stride {
 		if cancel != nil && cancel.Load() {
 			break
@@ -210,13 +208,11 @@ func (m *Machine) runStabStripe(prog *program, sp *stabPlan, start, stride, tria
 		counts.Observe(m.runStabTrial(prog, sp, tab, trueBits, r.DeriveN("trial", t)))
 		tally.stab++
 	}
-	tally.flush()
-	return counts
 }
 
 // runStabTrial executes one trial on the tableau. The draw sequence is
-// step-for-step the one resumeTrajectory performs, so a trial's RNG
-// stream position is identical on both engines at every step boundary.
+// step-for-step the one runTrajectory performs, so a trial's RNG stream
+// position is identical on both engines at every step boundary.
 func (m *Machine) runStabTrial(prog *program, sp *stabPlan, tab *stabilizer.Tableau, trueBits []int, rt *rng.RNG) bitstr.BitString {
 	tab.CopyFrom(sp.snap)
 	for i := range trueBits {

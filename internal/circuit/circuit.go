@@ -2,6 +2,7 @@ package circuit
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync/atomic"
 )
@@ -199,13 +200,16 @@ func (c *Circuit) Append(other *Circuit) *Circuit {
 	return c
 }
 
-// Validate checks every operation against the register sizes and returns
-// the first problem found, or nil. Circuits built exclusively through the
-// builder methods are always valid; Validate exists for parsed or
-// hand-assembled circuits.
+// Validate checks the register sizes and every operation and returns the
+// first problem found, or nil. Circuits built through the builder methods
+// on at least one qubit with finite angles are always valid; Validate
+// exists for parsed or hand-assembled circuits.
 func (c *Circuit) Validate() error {
 	if c.NumQubits < 0 || c.NumClbits < 0 {
 		return fmt.Errorf("circuit: negative register size")
+	}
+	if c.NumQubits == 0 {
+		return fmt.Errorf("circuit: empty register: a circuit needs at least one qubit")
 	}
 	for i, op := range c.Ops {
 		if op.Kind < 0 || op.Kind >= numKinds {
@@ -227,6 +231,11 @@ func (c *Circuit) Validate() error {
 		if len(op.Params) != op.Kind.NumParams() {
 			return fmt.Errorf("circuit: op %d (%v) has %d params, want %d", i, op.Kind, len(op.Params), op.Kind.NumParams())
 		}
+		for _, p := range op.Params {
+			if !finite(p) {
+				return fmt.Errorf("circuit: op %d (%v) has non-finite parameter %v", i, op.Kind, p)
+			}
+		}
 		if op.Kind == Measure {
 			if op.Cbit < 0 || op.Cbit >= c.NumClbits {
 				return fmt.Errorf("circuit: op %d measures into invalid bit %d", i, op.Cbit)
@@ -235,6 +244,9 @@ func (c *Circuit) Validate() error {
 	}
 	return nil
 }
+
+// finite reports whether x is neither NaN nor infinite.
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // Stats summarizes operation counts the way the paper's Table 1 does.
 type Stats struct {

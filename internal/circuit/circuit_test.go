@@ -194,6 +194,9 @@ func TestValidateCatchesCorruption(t *testing.T) {
 		{Kind: CX, Qubits: []int{0, 0}, Cbit: -1},
 		{Kind: RZ, Qubits: []int{0}, Cbit: -1}, // missing param
 		{Kind: Measure, Qubits: []int{0}, Cbit: 9},
+		{Kind: RZ, Qubits: []int{0}, Params: []float64{math.NaN()}, Cbit: -1},
+		{Kind: RZ, Qubits: []int{0}, Params: []float64{math.Inf(-1)}, Cbit: -1},
+		{Kind: U3, Qubits: []int{0}, Params: []float64{0, math.Inf(1), 0}, Cbit: -1},
 	}
 	for i, op := range cases {
 		c := New(2, 2)
@@ -201,6 +204,21 @@ func TestValidateCatchesCorruption(t *testing.T) {
 		if err := c.Validate(); err == nil {
 			t.Errorf("case %d: corruption not caught", i)
 		}
+	}
+}
+
+// TestValidateRejectsEmptyRegister: a circuit on zero qubits has nothing
+// to place or run, and says so instead of failing deep in the mapper.
+func TestValidateRejectsEmptyRegister(t *testing.T) {
+	err := New(0, 0).Validate()
+	if err == nil || !strings.Contains(err.Error(), "empty register") {
+		t.Fatalf("Validate on qubits 0 = %v, want an empty-register error", err)
+	}
+	if _, err := ParseText("qubits 0\n"); err == nil {
+		t.Fatal("ParseText accepted qubits 0")
+	}
+	if _, err := ParseQASM("OPENQASM 2.0;\nqreg q[0];\n"); err == nil {
+		t.Fatal("ParseQASM accepted qreg q[0]")
 	}
 }
 

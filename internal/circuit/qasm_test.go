@@ -54,6 +54,9 @@ func FuzzParseText(f *testing.F) {
 		"qubits 1\nrz(0.5) 0\n",
 		"qubits 2\nu3(1,2,3) 1\n# comment\n",
 		"qubits 0\n",
+		"qubits 1\ncbits 1\nrz(NaN) 0\nmeasure 0 -> 0\n",
+		"qubits 1\nrz(Inf) 0\n",
+		"qubits 1\nu3(NaN,0,0) 0\n",
 	}
 	for _, s := range seeds {
 		f.Add(s)

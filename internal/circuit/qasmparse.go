@@ -11,7 +11,8 @@ import (
 // register, the qelib1 gates of this IR, measure and barrier. Register
 // names are arbitrary; comments and the include directive are ignored.
 // Together with (*Circuit).QASM this gives lossless round-tripping, so
-// circuits can move between this library and the IBM toolchain.
+// circuits can move between this library and the IBM toolchain. Errors
+// name the line on which the offending statement starts.
 func ParseQASM(src string) (*Circuit, error) {
 	c := New(0, 0)
 	qreg, creg := "", ""
@@ -31,8 +32,12 @@ func ParseQASM(src string) (*Circuit, error) {
 		cleaned.WriteString(line)
 		cleaned.WriteByte('\n')
 	}
-	for stmtNo, raw := range strings.Split(cleaned.String(), ";") {
+	line := 1 // line on which raw starts
+	for _, raw := range strings.Split(cleaned.String(), ";") {
 		stmt := strings.TrimSpace(raw)
+		lead := raw[:strings.Index(raw, stmt)]
+		at := line + strings.Count(lead, "\n")
+		line += strings.Count(raw, "\n")
 		if stmt == "" {
 			continue
 		}
@@ -44,33 +49,33 @@ func ParseQASM(src string) (*Circuit, error) {
 		case strings.HasPrefix(stmt, "qreg"):
 			name, size, err := parseReg(stmt[4:])
 			if err != nil {
-				return nil, fmt.Errorf("circuit: statement %d: %w", stmtNo, err)
+				return nil, fmt.Errorf("circuit: line %d: %w", at, err)
 			}
 			if qreg != "" {
-				return nil, fmt.Errorf("circuit: statement %d: multiple qregs unsupported", stmtNo)
+				return nil, fmt.Errorf("circuit: line %d: multiple qregs unsupported", at)
 			}
 			qreg, c.NumQubits = name, size
 		case strings.HasPrefix(stmt, "creg"):
 			name, size, err := parseReg(stmt[4:])
 			if err != nil {
-				return nil, fmt.Errorf("circuit: statement %d: %w", stmtNo, err)
+				return nil, fmt.Errorf("circuit: line %d: %w", at, err)
 			}
 			if creg != "" {
-				return nil, fmt.Errorf("circuit: statement %d: multiple cregs unsupported", stmtNo)
+				return nil, fmt.Errorf("circuit: line %d: multiple cregs unsupported", at)
 			}
 			creg, c.NumClbits = name, size
 		case strings.HasPrefix(stmt, "measure"):
 			parts := strings.Split(stmt[len("measure"):], "->")
 			if len(parts) != 2 {
-				return nil, fmt.Errorf("circuit: statement %d: malformed measure", stmtNo)
+				return nil, fmt.Errorf("circuit: line %d: malformed measure", at)
 			}
 			q, err := parseIndexed(strings.TrimSpace(parts[0]), qreg)
 			if err != nil {
-				return nil, fmt.Errorf("circuit: statement %d: %w", stmtNo, err)
+				return nil, fmt.Errorf("circuit: line %d: %w", at, err)
 			}
 			b, err := parseIndexed(strings.TrimSpace(parts[1]), creg)
 			if err != nil {
-				return nil, fmt.Errorf("circuit: statement %d: %w", stmtNo, err)
+				return nil, fmt.Errorf("circuit: line %d: %w", at, err)
 			}
 			c.Ops = append(c.Ops, Op{Kind: Measure, Qubits: []int{q}, Cbit: b})
 		case strings.HasPrefix(stmt, "barrier"):
@@ -83,7 +88,7 @@ func ParseQASM(src string) (*Circuit, error) {
 			for _, piece := range strings.Split(operand, ",") {
 				q, err := parseIndexed(strings.TrimSpace(piece), qreg)
 				if err != nil {
-					return nil, fmt.Errorf("circuit: statement %d: %w", stmtNo, err)
+					return nil, fmt.Errorf("circuit: line %d: %w", at, err)
 				}
 				qs = append(qs, q)
 			}
@@ -91,7 +96,7 @@ func ParseQASM(src string) (*Circuit, error) {
 		default:
 			op, err := parseGateStmt(stmt, qreg)
 			if err != nil {
-				return nil, fmt.Errorf("circuit: statement %d: %w", stmtNo, err)
+				return nil, fmt.Errorf("circuit: line %d: %w", at, err)
 			}
 			c.Ops = append(c.Ops, op)
 		}
@@ -179,6 +184,9 @@ func parseGateStmt(stmt, qreg string) (Op, error) {
 			v, err := parseQASMFloat(ps)
 			if err != nil {
 				return Op{}, err
+			}
+			if !finite(v) {
+				return Op{}, fmt.Errorf("parameter %q is not a finite number", ps)
 			}
 			params = append(params, v)
 		}

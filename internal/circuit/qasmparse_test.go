@@ -103,6 +103,18 @@ func TestParseQASMErrors(t *testing.T) {
 	}
 }
 
+// TestParseQASMRejectsNonFiniteParams: a literal NaN and a pi idiom that
+// overflows to Inf are both rejected with the line of their statement.
+func TestParseQASMRejectsNonFiniteParams(t *testing.T) {
+	for _, gate := range []string{"rz(nan) q[0];", "rz(NaN) q[0];", "rz(inf) q[0];", "rz(pi/1e-320) q[0];", "u3(1e308*pi,0,0) q[0];"} {
+		src := "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[1];\ncreg c[1];\n" + gate + "\nmeasure q[0] -> c[0];\n"
+		_, err := ParseQASM(src)
+		if err == nil || !strings.Contains(err.Error(), "line 5:") || !strings.Contains(err.Error(), "not a finite number") {
+			t.Errorf("ParseQASM with %q: err = %v, want a line 5 non-finite error", gate, err)
+		}
+	}
+}
+
 func TestParseQASMWorkloadInterop(t *testing.T) {
 	// A hand-written IBM-style program computes the same distribution
 	// after import as the natively built equivalent.

@@ -143,6 +143,9 @@ func ParseText(src string) (*Circuit, error) {
 				if err != nil {
 					return nil, fmt.Errorf("line %d: bad parameter %q", lineNo, ps)
 				}
+				if !finite(p) {
+					return nil, fmt.Errorf("line %d: parameter %q is not a finite number", lineNo, ps)
+				}
 				params = append(params, p)
 			}
 		}

@@ -71,6 +71,19 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestParseTextRejectsNonFiniteParams: strconv accepts NaN and Inf, which
+// would otherwise reach the simulators as gate angles; the parser names
+// the line that carries one.
+func TestParseTextRejectsNonFiniteParams(t *testing.T) {
+	for _, gate := range []string{"rz(NaN) 0", "rz(Inf) 0", "rz(-inf) 0", "u3(NaN,0,0) 0", "u3(0,0,+Inf) 0"} {
+		src := "qubits 1\ncbits 1\n" + gate + "\nmeasure 0 -> 0\n"
+		_, err := ParseText(src)
+		if err == nil || !strings.Contains(err.Error(), "line 3:") || !strings.Contains(err.Error(), "not a finite number") {
+			t.Errorf("ParseText with %q: err = %v, want a line 3 non-finite error", gate, err)
+		}
+	}
+}
+
 func TestTextContainsParams(t *testing.T) {
 	c := New(1, 0)
 	c.RZ(0, 0.25)

@@ -51,6 +51,7 @@ func BackendCacheStats() (prog backend.CacheStats, run memo.Stats) {
 		ps := r.Machine.CacheStats()
 		prog.Hits += ps.Hits
 		prog.Misses += ps.Misses
+		prog.Waits += ps.Waits
 		prog.Evictions += ps.Evictions
 		prog.Entries += ps.Entries
 		rs := r.Machine.RunCacheStats()

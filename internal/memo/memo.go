@@ -1,7 +1,7 @@
 // Package memo provides the fingerprint-keyed memoization table shared by
 // the campaign caches: the compiler cache and per-compiler Top-K pools in
-// internal/mapper, the trial-run cache in internal/backend, and the Round
-// cache in internal/experiment.
+// internal/mapper, the compiled-program and trial-run caches in
+// internal/backend, and the Round cache in internal/experiment.
 //
 // A Cache is a bounded map from 64-bit fingerprints to immutable values
 // with three properties the experiment sweeps need:
@@ -33,8 +33,8 @@ import (
 	"sync/atomic"
 )
 
-// Stats is a snapshot of a cache's counters, mirroring the backend's
-// compiled-program CacheStats.
+// Stats is a snapshot of a cache's counters (the backend's
+// compiled-program CacheStats is an alias of it).
 type Stats struct {
 	Hits      uint64
 	Misses    uint64

@@ -93,6 +93,17 @@ func TestServerMalformedPayloads(t *testing.T) {
 		{"zero trials", `{"workload":"bv-6"}`, http.StatusBadRequest},
 		{"bad policy", `{"workload":"bv-6","trials":100,"policy":"magic"}`, http.StatusBadRequest},
 	}
+	for name, src := range nonFiniteCircuits {
+		body, err := json.Marshal(JobSpec{Circuit: src.circuit, Format: src.format, Trials: 1024})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cases = append(cases, struct {
+			name string
+			body string
+			want int
+		}{name, string(body), http.StatusBadRequest})
+	}
 	for _, tc := range cases {
 		resp, body := post(t, ts.URL+"/v1/jobs", tc.body)
 		if resp.StatusCode != tc.want {
@@ -108,6 +119,14 @@ func TestServerMalformedPayloads(t *testing.T) {
 	resp, _ := post(t, ts.URL+"/v1/jobs", jobBody)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("server unhealthy after malformed payloads: %d", resp.StatusCode)
+	}
+	resp, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatalf("healthz after malformed payloads: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz after malformed payloads = %d", resp.StatusCode)
 	}
 }
 

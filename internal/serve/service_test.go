@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -157,10 +158,37 @@ func TestRunJobBadSpecs(t *testing.T) {
 		{"garbage qasm", &JobSpec{Circuit: "OPENQASM 9;", Format: "qasm", Trials: 100}},
 		{"circuit too wide", &JobSpec{Circuit: "qubits 20\ncbits 1\nh 0\nmeasure 0 -> 0\n", Trials: 100}},
 	}
+	for name, src := range nonFiniteCircuits {
+		cases = append(cases, struct {
+			name string
+			spec *JobSpec
+		}{name, &JobSpec{Circuit: src.circuit, Format: src.format, Trials: 1024}})
+	}
 	for _, tc := range cases {
 		if _, err := svc.RunJob(context.Background(), tc.spec); !errors.Is(err, ErrBadJob) {
 			t.Errorf("%s: err = %v, want ErrBadJob", tc.name, err)
 		}
+	}
+}
+
+// nonFiniteCircuits are inline circuits whose gate angles are NaN or
+// infinite. Before the parsers rejected them, each one crashed the
+// process from a trial worker goroutine at 1024 trials.
+var nonFiniteCircuits = map[string]struct{ circuit, format string }{
+	"rz(NaN)":       {"qubits 2\ncbits 2\nx 0\nrz(NaN) 0\nmeasure 0 -> 0\nmeasure 1 -> 1\n", "text"},
+	"rz(Inf)":       {"qubits 2\ncbits 2\nx 0\nrz(Inf) 0\nmeasure 0 -> 0\nmeasure 1 -> 1\n", "text"},
+	"u3(NaN,0,0)":   {"qubits 2\ncbits 2\nx 0\nu3(NaN,0,0) 0\nmeasure 0 -> 0\nmeasure 1 -> 1\n", "text"},
+	"qasm rz(nan)":  {"OPENQASM 2.0;\nqreg q[2];\ncreg c[2];\nx q[0];\nrz(nan) q[0];\nmeasure q[0] -> c[0];\nmeasure q[1] -> c[1];\n", "qasm"},
+	"qasm overflow": {"OPENQASM 2.0;\nqreg q[2];\ncreg c[2];\nx q[0];\nrz(pi/1e-320) q[0];\nmeasure q[0] -> c[0];\nmeasure q[1] -> c[1];\n", "qasm"},
+}
+
+// TestRunJobEmptyRegisterMessage: a zero-qubit circuit is refused in plain
+// words, not as a mapper internal error.
+func TestRunJobEmptyRegisterMessage(t *testing.T) {
+	svc := mustService(t, testConfig())
+	_, err := svc.RunJob(context.Background(), &JobSpec{Circuit: "qubits 0\n", Trials: 100})
+	if !errors.Is(err, ErrBadJob) || !strings.Contains(err.Error(), "empty register") || strings.Contains(err.Error(), "internal error") {
+		t.Fatalf("err = %v, want a plain empty-register ErrBadJob", err)
 	}
 }
 

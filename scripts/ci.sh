@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Local CI gate: vet, build, full tests, then a race-detector pass over the
-# packages with real concurrency (parallel ensemble members in core, striped
-# trial workers and the program cache in backend, the work-split VF2 driver
+# packages with real concurrency (parallel ensemble members in core, trial
+# workers and the program cache in backend, the work-split VF2 driver
 # in graph, the parallel candidate pipeline in mapper, predicted-IST fan-out
 # in selector, and the cell-parallel sweeps in experiment).
 #
@@ -62,7 +62,9 @@ go test -race -count=1 ./internal/serve
 echo "== edmd smoke: CLI/server byte identity =="
 # Start the server, post the same job the CLI runs, and require the text
 # responses to be byte-for-byte identical — the determinism contract over
-# HTTP. Also proves malformed payloads get a 4xx, not a dead process.
+# HTTP. Also proves malformed payloads get a 4xx, not a dead process: a
+# circuit with a NaN gate angle once crashed the server from a trial
+# worker, so after it is refused the server must still answer /healthz.
 SMOKE="$(mktemp -d)"
 trap 'rm -rf "$SMOKE"; [ -n "${EDMD_PID:-}" ] && kill "$EDMD_PID" 2>/dev/null || true' EXIT
 go build -o "$SMOKE/edm" ./cmd/edm
@@ -82,6 +84,10 @@ curl -sf -X POST "http://$ADDR/v1/jobs?format=text" \
 cmp "$SMOKE/cli.txt" "$SMOKE/srv.txt"
 BAD_STATUS="$(curl -s -o /dev/null -w '%{http_code}' -X POST "http://$ADDR/v1/jobs" -d 'not json')"
 [ "$BAD_STATUS" = "400" ] || { echo "malformed job got $BAD_STATUS, want 400" >&2; exit 1; }
+NAN_STATUS="$(curl -s -o /dev/null -w '%{http_code}' -X POST "http://$ADDR/v1/jobs" \
+	-d '{"circuit":"qubits 2\ncbits 2\nx 0\nrz(NaN) 0\nmeasure 0 -> 0\nmeasure 1 -> 1\n","trials":1024}')"
+[ "$NAN_STATUS" = "400" ] || { echo "rz(NaN) job got $NAN_STATUS, want 400" >&2; exit 1; }
+curl -sf "http://$ADDR/healthz" >/dev/null || { echo "edmd stopped answering after the rz(NaN) job" >&2; exit 1; }
 curl -sf "http://$ADDR/metrics" | grep -q '^edmd_job_cache_misses_total 1$'
 curl -sf "http://$ADDR/healthz" >/dev/null
 kill -TERM "$EDMD_PID"
@@ -130,23 +136,26 @@ echo "== trajectory engine determinism (DESIGN.md §10) =="
 # The tape-tree engine must match the frozen legacy loop byte for byte
 # at GOMAXPROCS=1 and at full width; both passes run under the race
 # detector because the tape tree and its checkpoints are shared
-# read-only across workers (and the stats tally is flushed per worker).
+# read-only across workers (and each worker's tally is flushed once).
 # TerminalDrop and LazyEntry cover the register schedule (DESIGN.md §15):
 # circuits whose measurements drop only partly or down to width 0, and
 # circuits whose qubits meet crosstalk, idle damping, diagonal gates or a
-# measurement before they enter the register.
-GOMAXPROCS=1 go test -race -count=1 -run 'PrefixEngine|PrefixDrawOrder|PrefixPlan|TerminalDrop|LazyEntry' ./internal/backend
-go test -race -count=1 -run 'PrefixEngine|PrefixDrawOrder|PrefixPlan|TerminalDrop|LazyEntry' ./internal/backend
+# measurement before they enter the register. ParallelMatchesSerial
+# runs every trial loop at widths 1, 2 and 4 inside each pass.
+GOMAXPROCS=1 go test -race -count=1 -run 'PrefixEngine|PrefixDrawOrder|PrefixPlan|TerminalDrop|LazyEntry|ParallelMatchesSerial' ./internal/backend
+go test -race -count=1 -run 'PrefixEngine|PrefixDrawOrder|PrefixPlan|TerminalDrop|LazyEntry|ParallelMatchesSerial' ./internal/backend
 
 echo "== batched replay identity (DESIGN.md §15) =="
 # The batched divergent-suffix scheduler must match the legacy loop byte
 # for byte and retire every divergent trial through exactly one unit:
 # GOMAXPROCS=1 pins the serial scheduler, the full-width pass runs the
-# two-phase walk/replay pipeline with work stealing under the race
-# detector. TerminalDrop pins batch lanes narrowing together at every
-# terminal measurement, LazyEntry widening together at every entry.
-GOMAXPROCS=1 go test -race -count=1 -run 'BatchedReplay|MaxLanesFor|TerminalDrop|LazyEntry' ./internal/backend
-go test -race -count=1 -run 'BatchedReplay|MaxLanesFor|TerminalDrop|LazyEntry' ./internal/backend
+# two-phase walk/replay pipeline, with replay units claimed from one
+# shared cursor, under the race detector. TerminalDrop pins batch lanes
+# narrowing together at every terminal measurement, LazyEntry widening
+# together at every entry. ParallelMatchesSerial pins the batched engine
+# at widths 1, 2 and 4 with more replay units than workers.
+GOMAXPROCS=1 go test -race -count=1 -run 'BatchedReplay|MaxLanesFor|TerminalDrop|LazyEntry|ParallelMatchesSerial' ./internal/backend
+go test -race -count=1 -run 'BatchedReplay|MaxLanesFor|TerminalDrop|LazyEntry|ParallelMatchesSerial' ./internal/backend
 
 echo "== statevec batch kernels: purego path =="
 # The batch kernels' scalar fallbacks must pin the same frozen oracle
