@@ -17,7 +17,6 @@ import (
 	"os"
 	"testing"
 
-	"edm/internal/backend"
 	"edm/internal/experiment"
 )
 
@@ -28,10 +27,6 @@ import (
 // compile and simulation work the numbers are frozen against. The
 // cached path is benchmarked end-to-end by perfbench's campaign
 // workload.
-// EngineStatevector pins the trajectory engine the same way: frozen
-// baselines must keep measuring statevector work even if a future noise
-// profile makes a schedule fully Clifford and eligible for the
-// stabilizer fast path.
 func benchSetup() experiment.Setup {
 	s := experiment.Default()
 	if os.Getenv("EDM_BENCH_FULL") == "" {
@@ -39,7 +34,6 @@ func benchSetup() experiment.Setup {
 		s.Trials = 4096
 	}
 	s.NoCache = true
-	s.Engine = backend.EngineStatevector
 	return s
 }
 

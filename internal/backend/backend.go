@@ -373,11 +373,11 @@ func (m *Machine) Run(exe *circuit.Circuit, trials int, r *rng.RNG) (*dist.Count
 //   - without the run cache, arms a flag the trial loops poll, so the
 //     call returns ctx.Err() promptly, having wasted only the trials
 //     already simulated;
-//   - with the run cache (the serving configuration), runs the
-//     simulation detached through the cache's singleflight — identical
-//     jobs from other clients wait on the same entry, and the finished
-//     histogram stays warm for the next request — while this caller
-//     detaches with ctx.Err() as soon as its context expires.
+//   - with the run cache (which only the campaign's cached rounds
+//     enable), runs the simulation detached through the cache's
+//     singleflight — identical concurrent runs wait on the same entry,
+//     and the finished histogram stays warm for the next caller — while
+//     this caller detaches with ctx.Err() as soon as its context expires.
 func (m *Machine) RunCtx(ctx context.Context, exe *circuit.Circuit, trials int, r *rng.RNG) (*dist.Counts, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err

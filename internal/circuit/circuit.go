@@ -202,8 +202,9 @@ func (c *Circuit) Append(other *Circuit) *Circuit {
 
 // Validate checks the register sizes and every operation and returns the
 // first problem found, or nil. Circuits built through the builder methods
-// on at least one qubit with finite angles are always valid; Validate
-// exists for parsed or hand-assembled circuits.
+// on at least one qubit, with finite angles and at least one gate or
+// measurement, are always valid; Validate exists for parsed or
+// hand-assembled circuits.
 func (c *Circuit) Validate() error {
 	if c.NumQubits < 0 || c.NumClbits < 0 {
 		return fmt.Errorf("circuit: negative register size")
@@ -211,6 +212,7 @@ func (c *Circuit) Validate() error {
 	if c.NumQubits == 0 {
 		return fmt.Errorf("circuit: empty register: a circuit needs at least one qubit")
 	}
+	touched := false
 	for i, op := range c.Ops {
 		if op.Kind < 0 || op.Kind >= numKinds {
 			return fmt.Errorf("circuit: op %d has invalid kind %d", i, int(op.Kind))
@@ -241,6 +243,10 @@ func (c *Circuit) Validate() error {
 				return fmt.Errorf("circuit: op %d measures into invalid bit %d", i, op.Cbit)
 			}
 		}
+		touched = touched || op.Kind != Barrier
+	}
+	if !touched {
+		return fmt.Errorf("circuit: no gate or measurement: a circuit must act on at least one qubit")
 	}
 	return nil
 }

@@ -207,8 +207,9 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	}
 }
 
-// TestValidateRejectsEmptyRegister: a circuit on zero qubits has nothing
-// to place or run, and says so instead of failing deep in the mapper.
+// TestValidateRejectsEmptyRegister: a circuit on zero qubits, or one whose
+// ops touch no qubit (nothing, or only barriers), has nothing to place or
+// run, and says so instead of failing deep in the mapper.
 func TestValidateRejectsEmptyRegister(t *testing.T) {
 	err := New(0, 0).Validate()
 	if err == nil || !strings.Contains(err.Error(), "empty register") {
@@ -219,6 +220,35 @@ func TestValidateRejectsEmptyRegister(t *testing.T) {
 	}
 	if _, err := ParseQASM("OPENQASM 2.0;\nqreg q[0];\n"); err == nil {
 		t.Fatal("ParseQASM accepted qreg q[0]")
+	}
+
+	const want = "no gate or measurement"
+	for i, c := range []*Circuit{New(1, 0), New(2, 2).Barrier(), New(2, 2).Barrier(0, 1)} {
+		if err := c.Validate(); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("builder case %d: err = %v, want %q", i, err, want)
+		}
+	}
+	for _, src := range []string{"qubits 1\n", "qubits 2\ncbits 2\nbarrier\n", "qubits 2\nbarrier 0 1\n"} {
+		if _, err := ParseText(src); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("ParseText(%q): err = %v, want %q", src, err, want)
+		}
+	}
+	for _, src := range []string{
+		"OPENQASM 2.0;\nqreg q[2];\ncreg c[2];\n",
+		"OPENQASM 2.0;\nqreg q[2];\nbarrier q;\n",
+		"OPENQASM 2.0;\nqreg q[2];\nbarrier q[0],q[1];\n",
+	} {
+		if _, err := ParseQASM(src); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("ParseQASM(%q): err = %v, want %q", src, err, want)
+		}
+	}
+	// One gate, or one measurement, on one qubit of a wider register is
+	// enough: the untouched qubits are simply idle.
+	if err := New(2, 0).H(0).Validate(); err != nil {
+		t.Errorf("one gate on qubit 0 of 2: %v", err)
+	}
+	if err := New(2, 1).Measure(1, 0).Validate(); err != nil {
+		t.Errorf("one measurement on qubit 1 of 2: %v", err)
 	}
 }
 

@@ -36,7 +36,6 @@ func (s Setup) fingerprint() uint64 {
 	h := memo.Mix(memo.Seed(), s.Seed)
 	h = memo.Mix(h, math.Float64bits(s.Drift))
 	h = memo.Mix(h, s.Topo.Fingerprint())
-	h = memo.Mix(h, uint64(s.Engine))
 	return memo.Mix(h, s.Profile.Fingerprint())
 }
 

@@ -45,10 +45,10 @@ type ensembleCache struct {
 	best  *memo.Cache[*bestEntry]
 }
 
-func newEnsembleCache() *ensembleCache {
+func newEnsembleCache(ctr *memo.Counters) *ensembleCache {
 	return &ensembleCache{
-		pools: memo.NewShared[*poolEntry](ensembleCacheCap, &topkCtr),
-		best:  memo.NewShared[*bestEntry](ensembleCacheCap, &topkCtr),
+		pools: memo.NewShared[*poolEntry](ensembleCacheCap, ctr),
+		best:  memo.NewShared[*bestEntry](ensembleCacheCap, ctr),
 	}
 }
 
@@ -135,10 +135,21 @@ type bestEntry struct {
 // without that layer.
 func CachedCompiler(cal *device.Calibration) *Compiler {
 	return compilerCache.Get(cal.Fingerprint(), func() *Compiler {
-		c := NewCompiler(cal)
-		c.ens = newEnsembleCache()
-		return c
+		return NewMemoCompiler(cal, &topkCtr)
 	})
+}
+
+// NewMemoCompiler is NewCompiler plus a private ensemble memo: TopK
+// builds each circuit's candidate pool (k >= 2) and single-best result
+// (k = 1) once, keeps the last ensembleCacheCap circuits of each, and
+// counts its lookups in ctr. The compiler is not entered in the
+// process-wide cache, so its tables and pools live exactly as long as
+// the caller holds it; a long-lived owner that moves through many
+// calibrations (the serving layer's windows) pays for one at a time.
+func NewMemoCompiler(cal *device.Calibration, ctr *memo.Counters) *Compiler {
+	c := NewCompiler(cal)
+	c.ens = newEnsembleCache(ctr)
+	return c
 }
 
 // Uncached returns a view of the compiler with ensemble caching

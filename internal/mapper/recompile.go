@@ -53,10 +53,6 @@ const (
 	// Faster, approximate — the drifting campaign's cross-check mode
 	// reports the routed-ESP delta it costs.
 	RecompileFast
-	// RecompileOff disables reuse: every generation rebuilds every pool
-	// from scratch. The full-recompilation baseline benchmarks compare
-	// against.
-	RecompileOff
 )
 
 // RecompileStats counts incremental-recompilation outcomes, per candidate
@@ -159,12 +155,11 @@ type trackCal struct {
 // device through calibration windows).
 //
 // For k = 1, Tracking serves the head of the recompiled pool rather than
-// running the branch-and-bound single-best path. Both are the same
-// argmax under the same deterministic tie-breaks — the B&B path prunes
-// strictly, and member 0 of selectDiverse is always the pool head
-// (pinned by TestTopKPrefixStability's member-0 k-invariance) — so the
-// result is bit-identical; the initial generation pays the pool build
-// even for k = 1 and amortizes it across the campaign's cycles and ks.
+// running the branch-and-bound single-best path, so the initial
+// generation pays the pool build even for k = 1 and amortizes it across
+// the campaign's cycles and ks. The head is member 0 of every k (pinned
+// by TestTopKPrefixStability's member-0 k-invariance) but not always
+// Compiler.TopK(c, 1): see buildSingleBest.
 type Tracking struct {
 	mode  RecompileMode
 	cur   *Compiler
@@ -189,10 +184,6 @@ func NewTracking(cal *device.Calibration, mode RecompileMode) *Tracking {
 
 // Compiler returns the compiler for the current generation's calibration.
 func (t *Tracking) Compiler() *Compiler { return t.cur }
-
-// Generation returns the current calibration generation (0-based,
-// incremented by Advance).
-func (t *Tracking) Generation() uint64 { return t.gen }
 
 // Stats snapshots this Tracking's recompilation counters.
 func (t *Tracking) Stats() RecompileStats { return t.ctr.snapshot() }
@@ -234,11 +225,11 @@ func (t *Tracking) TopK(logical *circuit.Circuit, k int) ([]*Executable, error) 
 // TopKCtx is mapper.Compiler.TopK through the tracked, incrementally
 // recompiled pools. Results are bit-identical to
 // CachedCompiler(cal).TopK for the current calibration when the mode is
-// RecompileChecked (or RecompileOff). With a cancellable ctx, pool
-// builds and incremental upgrades run detached through the
-// generation-tagged cache while cancelled callers detach, preserving the
-// one-build-per-(circuit fingerprint, calibration generation) invariant
-// the serving layer advertises.
+// RecompileChecked. With a cancellable ctx, pool builds and incremental
+// upgrades run detached through the generation-tagged cache while
+// cancelled callers detach, so each (circuit fingerprint, calibration
+// generation) builds its pool once however many callers race or abandon
+// it.
 func (t *Tracking) TopKCtx(ctx context.Context, logical *circuit.Circuit, k int) ([]*Executable, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -254,9 +245,8 @@ func (t *Tracking) TopKCtx(ctx context.Context, logical *circuit.Circuit, k int)
 }
 
 // PoolStats snapshots this Tracking's generation-tagged pool cache
-// counters. One miss per (circuit fingerprint, generation) is the
-// serving layer's one-compile invariant; the serving metrics endpoint
-// exposes these numbers.
+// counters: one miss per (circuit fingerprint, generation) is the
+// one-build invariant TopKCtx keeps.
 func (t *Tracking) PoolStats() memo.Stats { return t.pools.Stats() }
 
 // poolFor serves the circuit's pool at the current generation, building
@@ -501,7 +491,7 @@ func (c *Compiler) recompilePool(logical *circuit.Circuit, prev *poolEntry, d de
 		tally.Dropped += uint64(len(prev.cpool))
 		return c.buildPool(logical)
 	}
-	if mode == RecompileOff || prev.err != nil || prev.rp == nil || d.Full() {
+	if prev.err != nil || prev.rp == nil || d.Full() {
 		return full()
 	}
 

@@ -186,38 +186,6 @@ func TestTrackingHistoryAgeOut(t *testing.T) {
 	}
 }
 
-// TestTrackingRecompileOff checks the baseline mode: correct results,
-// zero structural reuse.
-func TestTrackingRecompileOff(t *testing.T) {
-	w, ok := workloads.ByName("greycode-6")
-	if !ok {
-		t.Fatal("unknown workload")
-	}
-	root := rng.New(75)
-	cal := device.Generate(device.Melbourne(), device.MelbourneProfile(), root.Derive("cal"))
-	tr := NewTracking(cal, RecompileOff)
-	if _, err := tr.TopK(w.Circuit, 4); err != nil {
-		t.Fatal(err)
-	}
-	cal = cal.DriftLocal(2, 2, 0.4, 2e-3, root.Derive("drift"))
-	tr.Advance(cal, 1e-3)
-	got, err := tr.TopK(w.Circuit, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := tr.Compiler().Uncached().TopK(w.Circuit, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("RecompileOff tracked ensemble differs from full rebuild")
-	}
-	s := tr.Stats()
-	if s.FullRebuilds != s.Pools || s.Reused+s.Rescored+s.Rerouted != 0 {
-		t.Fatalf("RecompileOff reused work: %+v", s)
-	}
-}
-
 // TestTrackingFastMode sanity-checks the approximate mode: pools stay
 // usable and under sub-tolerance jitter (nothing beyond tol) the fast
 // path keeps all structure and only re-scores. The pool is NOT asserted

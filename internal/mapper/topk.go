@@ -558,12 +558,15 @@ func (c *Compiler) buildPool(logical *circuit.Circuit) *poolEntry {
 // member is a pure argmax, so the isomorphic enumeration runs under ESP
 // branch-and-bound: the threshold is seeded with the best re-compiled
 // placement and rises as better transfers are found, discarding most of
-// the search tree. Pruning is strict (ties survive), so the winner —
-// including its deterministic tie-breaks — matches what the full pool
-// would have produced. It stays a separate cache entry from the k >= 2
-// pool: the pruned enumeration yields a different (smaller) candidate
-// set, and serving k = 1 from the pool's head would couple the baseline
-// result to whether an EDM policy ran first.
+// the search tree. Pruning is strict (ties survive), yet the winner can
+// beat the k >= 2 pool's head: when a layout is both an isomorphic
+// transfer and a re-compiled placement, the pool keeps the transfer
+// (dedupeByLayout keeps the first), while here a transfer below the
+// threshold is pruned and the placement's better ESP wins. It stays a
+// separate cache entry from the k >= 2 pool: the pruned enumeration
+// yields a different (smaller) candidate set, and serving k = 1 from the
+// pool's head would couple the baseline result to whether an EDM policy
+// ran first.
 func (c *Compiler) buildSingleBest(logical *circuit.Circuit) ([]*Executable, error) {
 	base, err := c.Compile(logical)
 	if err != nil {

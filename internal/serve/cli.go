@@ -47,7 +47,6 @@ func jobFlags(fs *flag.FlagSet, cfg *Config) {
 	fs.Uint64Var(&cfg.CalSeed, "calseed", cfg.CalSeed, "calibration stream seed")
 	fs.Float64Var(&cfg.Drift, "drift", cfg.Drift, "calibration drift between compile and run time")
 	fs.IntVar(&cfg.Window, "window", cfg.Window, "calibration window index")
-	fs.Float64Var(&cfg.Tol, "tol", cfg.Tol, "recompile tolerance on window advances")
 }
 
 // RunCLI executes one job locally through the same Service code the
@@ -99,7 +98,7 @@ func RunCLI(args []string, stdout, stderr io.Writer) int {
 	// A one-shot service: minimal tier, no queueing pressure.
 	cfg.Shards, cfg.ShardCap = 1, 8
 	cfg.MaxConcurrent, cfg.MaxQueue = 1, 0
-	cfg.JobTimeout, cfg.TTL = 0, 0
+	cfg.JobTimeout = 0
 	svc, err := NewService(cfg)
 	if err != nil {
 		fmt.Fprintf(stderr, "run: %v\n", err)
@@ -154,7 +153,6 @@ func ServeCLI(args []string, stdout, stderr io.Writer) int {
 	drain := fs.Duration("drain", 30*time.Second, "graceful shutdown budget")
 	fs.IntVar(&cfg.Shards, "shards", cfg.Shards, "result cache shards")
 	fs.IntVar(&cfg.ShardCap, "shard-cap", cfg.ShardCap, "result cache entries per shard")
-	fs.DurationVar(&cfg.TTL, "ttl", cfg.TTL, "result time-to-live (0 disables expiry)")
 	fs.IntVar(&cfg.MaxConcurrent, "max-concurrent", cfg.MaxConcurrent, "concurrent job limit")
 	fs.IntVar(&cfg.MaxQueue, "max-queue", cfg.MaxQueue, "admission queue depth")
 	fs.DurationVar(&cfg.JobTimeout, "timeout", cfg.JobTimeout, "per-job wall-clock limit (0 disables)")

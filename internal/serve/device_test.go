@@ -22,8 +22,8 @@ func TestNewServiceUnknownDevice(t *testing.T) {
 // TestWideDeviceJobUsesStabilizer runs a Clifford workload on the
 // 127-qubit heavy-hex Eagle — a device no statevector in this process
 // could represent — and checks the job both succeeds and was actually
-// served by the tableau engine. Advancing the window exercises the
-// multi-word calibration diff and incremental recompile at full width.
+// served by the tableau engine. Advancing the window rebuilds the
+// 127-qubit compiler and machine for the next calibration.
 func TestWideDeviceJobUsesStabilizer(t *testing.T) {
 	cfg := testConfig()
 	cfg.Device = "eagle127"

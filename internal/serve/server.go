@@ -183,13 +183,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	put("compile_pool_hits_total", m.Pools.Hits)
 	put("compile_pool_misses_total", m.Pools.Misses)
 	put("compile_pool_waits_total", m.Pools.Waits)
-	put("run_cache_hits_total", m.Runs.Hits)
-	put("run_cache_misses_total", m.Runs.Misses)
-	put("recompile_pools_total", m.Recompile.Pools)
-	put("recompile_full_rebuilds_total", m.Recompile.FullRebuilds)
-	put("recompile_candidates_reused_total", m.Recompile.Reused)
-	put("recompile_candidates_rescored_total", m.Recompile.Rescored)
-	put("recompile_candidates_rerouted_total", m.Recompile.Rerouted)
 	put("engine_stab_programs_total", uint64(m.Engine.StabPrograms))
 	put("engine_stab_fallbacks_total", uint64(m.Engine.StabFallbacks))
 	put("engine_stab_prefix_steps_total", uint64(m.Engine.StabPrefixSteps))

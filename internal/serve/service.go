@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"edm/internal/backend"
@@ -36,16 +37,10 @@ type Config struct {
 	Drift float64
 	// Window is the initial calibration window index.
 	Window int
-	// Tol is the relative tolerance handed to mapper.Tracking on window
-	// advances; 0 keeps RecompileChecked exact regardless.
-	Tol float64
 
 	// Shards and ShardCap size the job-result tier.
 	Shards   int
 	ShardCap int
-	// TTL bounds how long a cached job result may serve before the next
-	// request recomputes it in place; 0 disables time-based expiry.
-	TTL time.Duration
 
 	// MaxConcurrent and MaxQueue bound admission.
 	MaxConcurrent int
@@ -62,30 +57,29 @@ func DefaultConfig() Config {
 		Drift:         0.2,
 		Shards:        8,
 		ShardCap:      256,
-		TTL:           10 * time.Minute,
 		MaxConcurrent: 4,
 		MaxQueue:      64,
 		JobTimeout:    2 * time.Minute,
 	}
 }
 
-// Service executes jobs against one tracked device. It owns three reuse
-// layers: the job-result Tier (whole jobs), the Tracking compiler's
-// generation-tagged candidate pools (one compile per circuit fingerprint
-// per calibration generation, upgraded incrementally across windows), and
-// the window machine's trial-run cache. All three deduplicate via memo's
-// singleflight, so any number of concurrent duplicate jobs cost one
-// compile and one simulation.
+// Service executes jobs against one calibration window at a time. It
+// owns two reuse layers: the job-result Tier (whole jobs) and the window
+// compiler's pool memo (one candidate-pool build per circuit fingerprint
+// per window). Both deduplicate via memo's singleflight, so any number of
+// concurrent duplicate jobs cost one compile and one simulation.
 type Service struct {
 	cfg Config
 
-	// mu orders window advances against job compiles: RunJob's compile
-	// section holds it shared, Advance holds it exclusively
-	// (mapper.Tracking forbids Advance racing TopK).
-	mu     sync.RWMutex
-	track  *mapper.Tracking
-	mach   *backend.Machine
-	window int
+	// win is the current window. Advance swaps in a new one; RunJob loads
+	// it once, so a job's tier generation and its computation always come
+	// from the same window.
+	win atomic.Pointer[window]
+	// advMu serializes Advance, so concurrent advances get distinct
+	// indices. Jobs never take it.
+	advMu sync.Mutex
+	// pools counts every window compiler's pool memo lookups.
+	pools memo.Counters
 
 	tier *Tier
 	adm  *Admission
@@ -95,9 +89,18 @@ type Service struct {
 	// detach waiters.
 	life context.Context
 	stop context.CancelFunc
+}
 
-	// now is the TTL clock, swappable in tests.
-	now func() time.Time
+// window is one calibration window's immutable serving snapshot: the
+// compiler that sees the window's calibration, with a pool memo private
+// to the window, and the machine running its drifted truth. Windows are
+// independent calibration draws (windowCals), so nothing carries over
+// from one window to the next; a retired window is freed once the jobs
+// that loaded it finish.
+type window struct {
+	index int
+	comp  *mapper.Compiler
+	mach  *backend.Machine
 }
 
 // NewService builds a service at cfg.Window. Configuration errors (shard
@@ -114,29 +117,26 @@ func NewService(cfg Config) (*Service, error) {
 	if cfg.Window < 0 {
 		return nil, fmt.Errorf("serve: window %d must be non-negative", cfg.Window)
 	}
-	if cfg.TTL < 0 {
-		return nil, fmt.Errorf("serve: ttl %v must be non-negative", cfg.TTL)
-	}
 	if !(cfg.Drift >= 0 && cfg.Drift <= device.MaxDrift) {
 		return nil, fmt.Errorf("serve: drift %v must be a finite scale in [0, %v]", cfg.Drift, device.MaxDrift)
 	}
 	if _, _, err := device.ByName(cfg.Device); err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
 	}
-	cal, runtimeCal := windowCals(cfg, cfg.Window)
 	life, stop := context.WithCancel(context.Background())
-	s := &Service{
-		cfg:    cfg,
-		track:  mapper.NewTracking(cal, mapper.RecompileChecked),
-		mach:   newWindowMachine(runtimeCal),
-		window: cfg.Window,
-		tier:   tier,
-		adm:    adm,
-		life:   life,
-		stop:   stop,
-		now:    time.Now,
-	}
+	s := &Service{cfg: cfg, tier: tier, adm: adm, life: life, stop: stop}
+	s.win.Store(s.newWindow(cfg.Window))
 	return s, nil
+}
+
+// newWindow builds window i's snapshot.
+func (s *Service) newWindow(i int) *window {
+	cal, runtimeCal := windowCals(s.cfg, i)
+	return &window{
+		index: i,
+		comp:  mapper.NewMemoCompiler(cal, &s.pools),
+		mach:  backend.New(runtimeCal),
+	}
 }
 
 // windowCals materializes window i's compile-time calibration and its
@@ -154,14 +154,6 @@ func windowCals(cfg Config, i int) (cal, runtimeCal *device.Calibration) {
 	return cal, runtimeCal
 }
 
-// newWindowMachine builds the execution machine for a window's runtime
-// calibration, with whole-run memoization on.
-func newWindowMachine(runtimeCal *device.Calibration) *backend.Machine {
-	m := backend.New(runtimeCal)
-	m.EnableRunCache()
-	return m
-}
-
 // Close stops the service: detached builds see a cancelled context and
 // fail fast instead of simulating for nobody.
 func (s *Service) Close() { s.stop() }
@@ -176,41 +168,19 @@ func (s *Service) DeviceName() string {
 }
 
 // Window returns the current calibration window index.
-func (s *Service) Window() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.window
-}
+func (s *Service) Window() int { return s.win.Load().index }
 
-// Advance moves the service to the next calibration window: the tracked
-// compiler diffs the new calibration and upgrades its cached pools
-// incrementally (reused/rescored/rerouted, not flushed), the machine is
-// rebuilt on the drifted runtime truth, and the result tier's generation
-// tag moves so cached jobs recompute in place on next access. It blocks
-// until in-flight compiles finish and returns the new window index.
+// Advance moves the service to the next calibration window and returns
+// its index: it builds the window's compiler and machine from scratch and
+// swaps them in. Jobs already running finish on the window they loaded;
+// cached job results of older windows recompute in place on their next
+// request, because the window index is the result tier's generation.
 func (s *Service) Advance() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.window++
-	cal, runtimeCal := windowCals(s.cfg, s.window)
-	s.track.Advance(cal, s.cfg.Tol)
-	s.mach = newWindowMachine(runtimeCal)
-	return s.window
-}
-
-// genTag is the result tier's generation: the compiler generation (bumped
-// by Advance) mixed with the TTL epoch. memo.GetGenCtx replaces an entry
-// whose tag is stale in place, so both drift and expiry cost one rebuild
-// of the touched entry and nothing else.
-func (s *Service) genTag() uint64 {
-	s.mu.RLock()
-	gen := s.track.Generation()
-	s.mu.RUnlock()
-	h := memo.Mix(memo.Seed(), gen)
-	if s.cfg.TTL > 0 {
-		h = memo.Mix(h, uint64(s.now().UnixNano()/int64(s.cfg.TTL)))
-	}
-	return h
+	s.advMu.Lock()
+	defer s.advMu.Unlock()
+	w := s.newWindow(s.win.Load().index + 1)
+	s.win.Store(w)
+	return w.index
 }
 
 // RunJob validates and executes one job. Malformed specs and unparsable
@@ -238,8 +208,9 @@ func (s *Service) RunJob(ctx context.Context, spec *JobSpec) (*JobResult, error)
 		ctx = context.Background()
 	}
 	fp := circ.Fingerprint()
-	out, err := s.tier.Do(ctx, spec.key(fp), s.genTag(), func() *jobOutcome {
-		return s.execute(spec, circ, fp)
+	w := s.win.Load()
+	out, err := s.tier.Do(ctx, spec.key(fp), uint64(w.index), func() *jobOutcome {
+		return s.execute(w, spec, circ, fp)
 	})
 	if err != nil {
 		return nil, err
@@ -247,25 +218,22 @@ func (s *Service) RunJob(ctx context.Context, spec *JobSpec) (*JobResult, error)
 	return out.res, out.err
 }
 
-// execute runs a job uncached under the service's lifetime context. It is
-// always invoked from a detached tier build, so it must not touch the
-// request context — the job it computes outlives any one requester.
-func (s *Service) execute(spec *JobSpec, circ *circuit.Circuit, fp uint64) *jobOutcome {
-	s.mu.RLock()
-	track, mach, window := s.track, s.mach, s.window
-	execs, err := track.TopKCtx(s.life, circ, spec.K)
-	s.mu.RUnlock()
+// execute runs a job on window w under the service's lifetime context.
+// It is always invoked from a detached tier build, so it must not touch
+// the request context — the job it computes outlives any one requester.
+func (s *Service) execute(w *window, spec *JobSpec, circ *circuit.Circuit, fp uint64) *jobOutcome {
+	execs, err := w.comp.TopKCtx(s.life, circ, spec.K)
 	if err != nil {
 		// Compile failures describe the job (circuit too large for the
 		// device, no isomorphic placement): deterministic, cacheable, 4xx.
 		return &jobOutcome{err: badJob("compile: %v", err)}
 	}
-	runner := &core.Runner{Machine: mach}
+	runner := &core.Runner{Machine: w.mach}
 	res, err := runner.RunExecutablesCtx(s.life, execs, spec.config(), rng.New(spec.Seed))
 	if err != nil {
 		return &jobOutcome{err: fmt.Errorf("serve: execute: %w", err)}
 	}
-	return &jobOutcome{res: newJobResult(spec, fp, window, res)}
+	return &jobOutcome{res: newJobResult(spec, fp, w.index, res)}
 }
 
 // Metrics is the live counter snapshot behind /metrics and /cachestats.
@@ -273,12 +241,20 @@ func (s *Service) execute(spec *JobSpec, circ *circuit.Circuit, fp uint64) *jobO
 // routing, prefix plans); in the single-service edmd process it reflects
 // this service's machines.
 type Metrics struct {
-	Window    int                   `json:"window"`
-	Device    string                `json:"device"`
-	Admission AdmissionStats        `json:"admission"`
-	Tier      memo.Stats            `json:"tier"`
-	TierShard []memo.Stats          `json:"tier_shards,omitempty"`
-	Pools     memo.Stats            `json:"compile_pools"`
+	Window    int            `json:"window"`
+	Device    string         `json:"device"`
+	Admission AdmissionStats `json:"admission"`
+	Tier      memo.Stats     `json:"tier"`
+	TierShard []memo.Stats   `json:"tier_shards,omitempty"`
+	// Pools sums every window compiler's pool memo since the service
+	// started: one miss per (circuit fingerprint, window) for k >= 2 and
+	// one for k = 1. A retired window's pools are freed with it, not
+	// evicted, so Entries counts every pool built less FIFO evictions.
+	Pools memo.Stats `json:"compile_pools"`
+	// Recompile and Runs are always zero: windows are independent
+	// calibration draws compiled from scratch, and the Tier answers a
+	// repeated job before any run cache could. The fields stay for
+	// readers of the snapshot.
 	Recompile mapper.RecompileStats `json:"recompile"`
 	Runs      memo.Stats            `json:"runs"`
 	Engine    backend.EngineStats   `json:"engine"`
@@ -286,20 +262,12 @@ type Metrics struct {
 
 // Snapshot gathers the service's counters.
 func (s *Service) Snapshot(withShards bool) Metrics {
-	s.mu.RLock()
-	window := s.window
-	pools := s.track.PoolStats()
-	rec := s.track.Stats()
-	runs := s.mach.RunCacheStats()
-	s.mu.RUnlock()
 	m := Metrics{
-		Window:    window,
+		Window:    s.Window(),
 		Device:    s.DeviceName(),
 		Admission: s.adm.Stats(),
 		Tier:      s.tier.Stats(),
-		Pools:     pools,
-		Recompile: rec,
-		Runs:      runs,
+		Pools:     s.pools.Stats(),
 		Engine:    backend.EngineStatsSnapshot(),
 	}
 	if withShards {
@@ -309,12 +277,8 @@ func (s *Service) Snapshot(withShards bool) Metrics {
 }
 
 // PoolStats exposes the compile-pool counters for tests asserting the
-// one-compile-per-(fingerprint, generation) contract.
-func (s *Service) PoolStats() memo.Stats {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.track.PoolStats()
-}
+// one-compile-per-(fingerprint, window) contract.
+func (s *Service) PoolStats() memo.Stats { return s.pools.Stats() }
 
 // TierStats exposes the aggregated result-tier counters.
 func (s *Service) TierStats() memo.Stats { return s.tier.Stats() }

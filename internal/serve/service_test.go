@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"math"
 	"strings"
@@ -13,16 +15,17 @@ import (
 	"edm/internal/core"
 	"edm/internal/device"
 	"edm/internal/mapper"
+	"edm/internal/memo"
 	"edm/internal/rng"
 	"edm/internal/workloads"
 )
 
-// testConfig is a small, fast service: tiny tier, no TTL, no timeout.
+// testConfig is a small, fast service: tiny tier, no timeout.
 func testConfig() Config {
 	cfg := DefaultConfig()
 	cfg.Shards, cfg.ShardCap = 2, 32
 	cfg.MaxConcurrent, cfg.MaxQueue = 2, 8
-	cfg.TTL, cfg.JobTimeout = 0, 0
+	cfg.JobTimeout = 0
 	return cfg
 }
 
@@ -45,31 +48,43 @@ func mustService(t *testing.T, cfg Config) *Service {
 // (calibration window, circuit, policy, seed) through the library
 // directly, with no caches in between.
 func TestRunJobMatchesLibraryPipeline(t *testing.T) {
-	cfg := testConfig()
-	svc := mustService(t, cfg)
-	spec := testSpec()
-	got, err := svc.RunJob(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		window int
+		spec   *JobSpec
+		lib    core.Config
+	}{
+		{0, testSpec(), core.Config{K: 2, Trials: 512, Weighting: core.WeightDivergence}},
+		// In window 1 decode24's single best mapping is a re-compiled
+		// placement whose layout is also an isomorphic transfer of lower
+		// ESP; the k >= 2 pool keeps the transfer, so its head is not the
+		// single best. "best" must serve TopK(c, 1), as the library does.
+		{1, &JobSpec{Workload: "decode24", Trials: 512, Seed: 7, Policy: "best"}, core.Config{K: 1, Trials: 512}},
 	}
+	for _, tc := range cases {
+		cfg := testConfig()
+		cfg.Window = tc.window
+		svc := mustService(t, cfg)
+		got, err := svc.RunJob(context.Background(), tc.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
 
-	cal, runtimeCal := windowCals(cfg, cfg.Window)
-	comp := mapper.CachedCompiler(cal)
-	mach := backend.New(runtimeCal)
-	runner := core.NewRunner(comp, mach)
-	w, _ := workloads.ByName("bv-6")
-	res, err := runner.Run(w.Circuit, core.Config{K: 2, Trials: 512, Weighting: core.WeightDivergence}, rng.New(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := res.Merged.Sorted()
-	if len(got.Merged) != len(want) {
-		t.Fatalf("outcome counts differ: %d vs %d", len(got.Merged), len(want))
-	}
-	for i, o := range want {
-		if got.Merged[i].Outcome != o.Value.String() || got.Merged[i].P != o.P {
-			t.Fatalf("outcome %d: served (%s, %v) vs library (%s, %v)",
-				i, got.Merged[i].Outcome, got.Merged[i].P, o.Value, o.P)
+		cal, runtimeCal := windowCals(cfg, cfg.Window)
+		runner := core.NewRunner(mapper.CachedCompiler(cal), backend.New(runtimeCal))
+		w, _ := workloads.ByName(tc.spec.Workload)
+		res, err := runner.Run(w.Circuit, tc.lib, rng.New(tc.spec.Seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := res.Merged.Sorted()
+		if len(got.Merged) != len(want) {
+			t.Fatalf("%s: outcome counts differ: %d vs %d", tc.spec.Workload, len(got.Merged), len(want))
+		}
+		for i, o := range want {
+			if got.Merged[i].Outcome != o.Value.String() || got.Merged[i].P != o.P {
+				t.Fatalf("%s outcome %d: served (%s, %v) vs library (%s, %v)",
+					tc.spec.Workload, i, got.Merged[i].Outcome, got.Merged[i].P, o.Value, o.P)
+			}
 		}
 	}
 }
@@ -158,6 +173,14 @@ func TestRunJobBadSpecs(t *testing.T) {
 		{"garbage qasm", &JobSpec{Circuit: "OPENQASM 9;", Format: "qasm", Trials: 100}},
 		{"circuit too wide", &JobSpec{Circuit: "qubits 20\ncbits 1\nh 0\nmeasure 0 -> 0\n", Trials: 100}},
 	}
+	for name, src := range untouchedCircuits {
+		for _, policy := range []string{"edm", "best"} {
+			cases = append(cases, struct {
+				name string
+				spec *JobSpec
+			}{name + " " + policy, &JobSpec{Circuit: src.circuit, Format: src.format, Trials: 100, Policy: policy}})
+		}
+	}
 	for name, src := range nonFiniteCircuits {
 		cases = append(cases, struct {
 			name string
@@ -182,13 +205,28 @@ var nonFiniteCircuits = map[string]struct{ circuit, format string }{
 	"qasm overflow": {"OPENQASM 2.0;\nqreg q[2];\ncreg c[2];\nx q[0];\nrz(pi/1e-320) q[0];\nmeasure q[0] -> c[0];\nmeasure q[1] -> c[1];\n", "qasm"},
 }
 
-// TestRunJobEmptyRegisterMessage: a zero-qubit circuit is refused in plain
-// words, not as a mapper internal error.
+// untouchedCircuits are inline circuits whose ops touch no qubit. The
+// mapper has nothing to place for them, and its ensemble and single-best
+// paths would fail differently, so each is tried with both policies.
+var untouchedCircuits = map[string]struct{ circuit, format string }{
+	"no ops":       {"qubits 1\n", "text"},
+	"barrier":      {"qubits 2\ncbits 2\nbarrier\n", "text"},
+	"qasm barrier": {"OPENQASM 2.0;\nqreg q[2];\ncreg c[2];\nbarrier q;\n", "qasm"},
+}
+
+// TestRunJobEmptyRegisterMessage: a zero-qubit circuit, or one whose ops
+// touch no qubit, is refused in plain words, not as a mapper internal
+// error.
 func TestRunJobEmptyRegisterMessage(t *testing.T) {
 	svc := mustService(t, testConfig())
 	_, err := svc.RunJob(context.Background(), &JobSpec{Circuit: "qubits 0\n", Trials: 100})
 	if !errors.Is(err, ErrBadJob) || !strings.Contains(err.Error(), "empty register") || strings.Contains(err.Error(), "internal error") {
 		t.Fatalf("err = %v, want a plain empty-register ErrBadJob", err)
+	}
+	src := untouchedCircuits["barrier"]
+	_, err = svc.RunJob(context.Background(), &JobSpec{Circuit: src.circuit, Trials: 100})
+	if !errors.Is(err, ErrBadJob) || !strings.Contains(err.Error(), "no gate or measurement") || strings.Contains(err.Error(), "internal error") {
+		t.Fatalf("err = %v, want a plain no-gate-or-measurement ErrBadJob", err)
 	}
 }
 
@@ -217,8 +255,8 @@ func TestRunJobCancelledWaiterDetaches(t *testing.T) {
 }
 
 // TestAdvanceRecomputesInPlace: advancing the window re-executes cached
-// jobs under the new calibration without flushing the tier, and the
-// compiler upgrades its pool instead of starting over.
+// jobs under the new calibration without flushing the tier, and the new
+// window's compiler builds its own pool.
 func TestAdvanceRecomputesInPlace(t *testing.T) {
 	svc := mustService(t, testConfig())
 	r0, err := svc.RunJob(context.Background(), testSpec())
@@ -244,48 +282,114 @@ func TestAdvanceRecomputesInPlace(t *testing.T) {
 	}
 	ps := svc.PoolStats()
 	if ps.Misses != 2 {
-		t.Fatalf("pool misses = %d, want 2 (one per generation)", ps.Misses)
+		t.Fatalf("pool misses = %d, want 2 (one per window)", ps.Misses)
 	}
 	m := svc.Snapshot(true)
-	if m.Recompile.Pools != 1 {
-		t.Fatalf("recompile pools = %d, want 1 (upgrade, not rebuild-from-nothing)", m.Recompile.Pools)
+	if m.Recompile != (mapper.RecompileStats{}) || m.Runs != (memo.Stats{}) {
+		t.Fatalf("recompile %+v, runs %+v: want both zero on serve", m.Recompile, m.Runs)
 	}
 	if len(m.TierShard) != svc.tier.Shards() {
 		t.Fatalf("snapshot shard count %d", len(m.TierShard))
 	}
 }
 
-// TestTTLExpiryRecomputes: with a TTL configured, a cached job recomputes
-// once the fake clock crosses the epoch — and serves identical bytes,
-// because results are pure functions of the job.
-func TestTTLExpiryRecomputes(t *testing.T) {
+// TestAdvanceMatchesFreshWindow: a service that served windows 0 to 2
+// and advanced to window 3 answers every job with the same bytes as a
+// service started at window 3. Nothing one window compiled or cached may
+// reach the answers of the next.
+func TestAdvanceMatchesFreshWindow(t *testing.T) {
+	const inline = "qubits 4\ncbits 4\nh 0\ncx 0 1\nrz(0.3) 1\ncx 1 2\ncx 2 3\n" +
+		"measure 0 -> 0\nmeasure 1 -> 1\nmeasure 2 -> 2\nmeasure 3 -> 3\n"
+	var specs []*JobSpec
+	for _, policy := range []string{"edm", "wedm", "best"} {
+		for _, w := range []string{"bv-6", "adder", "qaoa-6"} {
+			specs = append(specs, &JobSpec{Workload: w, K: 2, Trials: 512, Seed: 7, Policy: policy})
+		}
+		specs = append(specs, &JobSpec{Circuit: inline, K: 2, Trials: 512, Seed: 7, Policy: policy})
+	}
+	advanced := mustService(t, testConfig())
+	for w := 0; w < 3; w++ {
+		for _, spec := range specs {
+			if _, err := advanced.RunJob(context.Background(), spec); err != nil {
+				t.Fatalf("window %d: %v", w, err)
+			}
+		}
+		advanced.Advance()
+	}
 	cfg := testConfig()
-	cfg.TTL = time.Minute
-	svc := mustService(t, cfg)
-	now := time.Unix(0, 0)
-	svc.now = func() time.Time { return now }
+	cfg.Window = 3
+	fresh := mustService(t, cfg)
+	for _, spec := range specs {
+		got, err := advanced.RunJob(context.Background(), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := fresh.RunJob(context.Background(), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotJSON, err := json.Marshal(got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		refJSON, err := json.Marshal(ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Window != 3 || got.Text() != ref.Text() || !bytes.Equal(gotJSON, refJSON) {
+			t.Errorf("%s %s: advanced service served\n%s%s\nfresh window-3 service served\n%s%s",
+				spec.Policy, got.name(), got.Text(), gotJSON, ref.Text(), refJSON)
+		}
+	}
+}
 
-	r0, err := svc.RunJob(context.Background(), testSpec())
-	if err != nil {
-		t.Fatal(err)
+// TestAdvanceDuringJobs: jobs racing window advances each answer from
+// exactly one window, with the bytes a fresh service at the window the
+// result names serves.
+func TestAdvanceDuringJobs(t *testing.T) {
+	svc := mustService(t, testConfig())
+	spec := func(i int) *JobSpec {
+		return &JobSpec{Workload: "bv-6", K: 2, Trials: 256, Seed: uint64(i % 4)}
 	}
-	now = now.Add(30 * time.Second) // same epoch: a hit
-	if _, err := svc.RunJob(context.Background(), testSpec()); err != nil {
-		t.Fatal(err)
+	const workers, jobs = 4, 8
+	got := make([][]*JobResult, workers)
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < jobs; i++ {
+				res, err := svc.RunJob(context.Background(), spec(i))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got[g] = append(got[g], res)
+			}
+		}(g)
 	}
-	if s := svc.TierStats(); s.Misses != 1 || s.Hits != 1 {
-		t.Fatalf("pre-expiry stats = %+v", s)
+	for i := 0; i < 3; i++ {
+		svc.Advance()
 	}
-	now = now.Add(2 * time.Minute) // next epoch: recompute in place
-	r2, err := svc.RunJob(context.Background(), testSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s := svc.TierStats(); s.Misses != 2 || s.Entries != 1 {
-		t.Fatalf("post-expiry stats = %+v", s)
-	}
-	if r2.Text() != r0.Text() {
-		t.Fatal("recomputed job served different bytes")
+	wg.Wait()
+	fresh := map[int]*Service{}
+	for _, rs := range got {
+		for i, res := range rs {
+			ref := fresh[res.Window]
+			if ref == nil {
+				cfg := testConfig()
+				cfg.Window = res.Window
+				ref = mustService(t, cfg)
+				fresh[res.Window] = ref
+			}
+			want, err := ref.RunJob(context.Background(), spec(i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Text() != want.Text() {
+				t.Fatalf("job %d served\n%sbut a fresh window-%d service serves\n%s", i, res.Text(), res.Window, want.Text())
+			}
+		}
 	}
 }
 
@@ -304,11 +408,6 @@ func TestNewServiceValidation(t *testing.T) {
 	cfg.Window = -1
 	if _, err := NewService(cfg); err == nil {
 		t.Fatal("negative window must error")
-	}
-	cfg = testConfig()
-	cfg.TTL = -time.Second
-	if _, err := NewService(cfg); err == nil {
-		t.Fatal("negative ttl must error")
 	}
 	for _, d := range []float64{math.NaN(), math.Inf(1), -0.1, 1e300, device.MaxDrift * 2} {
 		cfg = testConfig()

@@ -9,17 +9,18 @@ import (
 )
 
 // Tier is the service's job-result cache: a power-of-two array of
-// independently locked memo shards, each TTL- and size-bounded. Sharding
-// keeps the result tier's lock off the hot path under concurrent load —
-// jobs hashing to different shards never contend — while each shard keeps
+// independently locked, size-bounded memo shards. Sharding keeps the
+// result tier's lock off the hot path under concurrent load — jobs
+// hashing to different shards never contend — while each shard keeps
 // memo's singleflight guarantee, so concurrent duplicate jobs still share
 // exactly one execution.
 //
-// Expiry is not a sweeper: the service folds its TTL epoch and
-// calibration generation into the memo generation tag (see
-// Service.genTag), so an expired or drifted entry is upgraded in place by
-// the next request for it — one rebuild, same ring slot, no flush of its
-// shard — and until someone asks, it costs nothing.
+// An entry's memo generation is the calibration window it was computed
+// in (see Service.RunJob), so after an advance a cached job is upgraded
+// in place by the next request for it — one rebuild, same ring slot, no
+// flush of its shard — and until someone asks, it costs nothing. Nothing
+// else expires an entry: a job is a pure function of (window, job), so
+// recomputing it within a window would serve the same bytes.
 type Tier struct {
 	shards []*memo.Cache[*jobOutcome]
 	ctrs   []*memo.Counters

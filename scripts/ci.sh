@@ -65,11 +65,14 @@ echo "== edmd smoke: CLI/server byte identity =="
 # HTTP. Also proves malformed payloads get a 4xx, not a dead process: a
 # circuit with a NaN gate angle once crashed the server from a trial
 # worker, so after it is refused the server must still answer /healthz.
+# Last, POST /v1/advance moves the server to window 1, where the same job
+# must match `edm run -window 1` byte for byte.
 SMOKE="$(mktemp -d)"
 trap 'rm -rf "$SMOKE"; [ -n "${EDMD_PID:-}" ] && kill "$EDMD_PID" 2>/dev/null || true' EXIT
 go build -o "$SMOKE/edm" ./cmd/edm
 go build -o "$SMOKE/edmd" ./cmd/edmd
 "$SMOKE/edm" run -workload bv-6 -k 2 -trials 512 -seed 7 >"$SMOKE/cli.txt"
+"$SMOKE/edm" run -window 1 -workload bv-6 -k 2 -trials 512 -seed 7 >"$SMOKE/cli1.txt"
 "$SMOKE/edmd" serve -addr 127.0.0.1:0 >"$SMOKE/serve.log" &
 EDMD_PID=$!
 ADDR=""
@@ -90,6 +93,11 @@ NAN_STATUS="$(curl -s -o /dev/null -w '%{http_code}' -X POST "http://$ADDR/v1/jo
 curl -sf "http://$ADDR/healthz" >/dev/null || { echo "edmd stopped answering after the rz(NaN) job" >&2; exit 1; }
 curl -sf "http://$ADDR/metrics" | grep -q '^edmd_job_cache_misses_total 1$'
 curl -sf "http://$ADDR/healthz" >/dev/null
+curl -sf -X POST "http://$ADDR/v1/advance" | grep -q '"window":1' ||
+	{ echo "advance did not report window 1" >&2; exit 1; }
+curl -sf -X POST "http://$ADDR/v1/jobs?format=text" \
+	-d '{"workload":"bv-6","k":2,"trials":512,"seed":7}' >"$SMOKE/srv1.txt"
+cmp "$SMOKE/cli1.txt" "$SMOKE/srv1.txt"
 kill -TERM "$EDMD_PID"
 wait "$EDMD_PID" || { echo "edmd exited nonzero on SIGTERM" >&2; exit 1; }
 EDMD_PID=""
