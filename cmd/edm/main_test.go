@@ -2,6 +2,7 @@ package main
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -61,13 +62,32 @@ func TestScaleFlagsAreUsageErrors(t *testing.T) {
 			t.Errorf("edm %v: exit %d, stderr %q; want exit 2 and one usage line", args, code, stderr)
 		}
 	}
-	// The one-shot job path validates the same drift through the
-	// service: a failed run with one line, never a panic.
-	for _, d := range []string{"NaN", "1e300", "-0.1"} {
-		args := []string{"run", "-workload", "bv-6", "-k", "2", "-trials", "64", "-drift", d}
+	// The one-shot job path validates the same drift, device and window
+	// through the service: a usage error with one line, never a panic.
+	for _, flagVal := range [][2]string{
+		{"-drift", "NaN"}, {"-drift", "1e300"}, {"-drift", "-0.1"},
+		{"-device", "bogus"}, {"-window", "-1"},
+	} {
+		args := []string{"run", "-workload", "bv-6", "-k", "2", "-trials", "64", flagVal[0], flagVal[1]}
 		code, stderr := runEdm(t, args...)
-		if code == 0 || strings.Count(stderr, "\n") != 1 || strings.Contains(stderr, "goroutine") {
-			t.Errorf("edm %v: exit %d, stderr %q; want a failure with one error line", args, code, stderr)
+		if code != 2 || strings.Count(stderr, "\n") != 1 || strings.Contains(stderr, "goroutine") {
+			t.Errorf("edm %v: exit %d, stderr %q; want exit 2 and one error line", args, code, stderr)
+		}
+	}
+}
+
+// TestUnmeasuredCircuitExitsTwo: `edm run -circuit` on a circuit that
+// measures no qubit is a usage error with one line on stderr, not a
+// histogram of empty or unwritten bits.
+func TestUnmeasuredCircuitExitsTwo(t *testing.T) {
+	for i, src := range []string{"qubits 2\nh 0\n", "qubits 2\ncbits 1\nh 0\n"} {
+		path := filepath.Join(t.TempDir(), fmt.Sprintf("unmeasured%d.txt", i))
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		code, stderr := runEdm(t, "run", "-circuit", path, "-trials", "64")
+		if code != 2 || strings.Count(stderr, "\n") != 1 || !strings.Contains(stderr, "measures no qubit") {
+			t.Errorf("%q: exit %d, stderr %q; want exit 2 and one line saying it measures no qubit", src, code, stderr)
 		}
 	}
 }

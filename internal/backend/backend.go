@@ -134,9 +134,8 @@ type step struct {
 	perm  statevec.Perm4
 	q0    int
 	q1    int
-	p     float64 // depolarizing probability for stepPauli*
-	ampK  []circuit.Matrix2
-	phK   []circuit.Matrix2
+	p     float64      // depolarizing probability for stepPauli*
+	damp  *[2]dampChan // stepDamp: the amplitude then the phase damping channel
 	cbit  int
 	phys  int // physical qubit, for readout handling of measurements
 }
@@ -329,20 +328,21 @@ func (m *Machine) compile(exe *circuit.Circuit) (*program, error) {
 }
 
 // addDamp appends a damping step for physical qubit q over dt nanoseconds
-// (T1/T2 are in microseconds) unless it would be a no-op.
+// (T1/T2 are in microseconds) unless it would be a no-op. Its Kraus
+// pairs are classified here, once per compiled program (dampChan).
 func (p *program) addDamp(cal *device.Calibration, lq, q int, dt float64) {
 	gA, gP := noise.DampingParams(dt, cal.T1us[q]*1000, cal.T2us[q]*1000)
 	if gA == 0 && gP == 0 {
 		return
 	}
-	s := step{kind: stepDamp, q0: lq}
+	var ampK, phK []circuit.Matrix2
 	if gA > 0 {
-		s.ampK = noise.AmplitudeDampingKraus(gA)
+		ampK = noise.AmplitudeDampingKraus(gA)
 	}
 	if gP > 0 {
-		s.phK = noise.PhaseDampingKraus(gP)
+		phK = noise.PhaseDampingKraus(gP)
 	}
-	p.steps = append(p.steps, s)
+	p.steps = append(p.steps, step{kind: stepDamp, q0: lq, damp: &[2]dampChan{newDampChan(ampK), newDampChan(phK)}})
 }
 
 // parallelThreshold is the trial count from which Run fans trials out
@@ -489,10 +489,12 @@ func (m *Machine) runTrajectory(prog *program, s *statevec.State, trueBits []int
 		case stepU1, stepU2:
 			applyUnitaryStep(s, st, st.q0, st.q1)
 		case stepPauli1:
+			hookDraw(-1, i, st.p, 0)
 			if k := noise.SamplePauli1Q(st.p, r); k != 0 {
 				s.Apply1Q(noise.Pauli1Q[k], st.q0)
 			}
 		case stepPauli2:
+			hookDraw(-1, i, st.p, 0)
 			ka, kb := noise.SamplePauli2Q(st.p, r)
 			if ka != 0 {
 				s.Apply1Q(noise.Pauli1Q[ka], st.q0)
@@ -501,15 +503,23 @@ func (m *Machine) runTrajectory(prog *program, s *statevec.State, trueBits []int
 				s.Apply1Q(noise.Pauli1Q[kb], st.q1)
 			}
 		case stepDamp:
-			if st.ampK != nil {
-				s.ApplyKraus1Q(st.ampK, st.q0, r)
-			}
-			if st.phK != nil {
-				s.ApplyKraus1Q(st.phK, st.q0, r)
+			// State.ApplyKraus1Q on each channel, spelled out so the draw
+			// hook sees the branch probabilities.
+			for c := range st.damp {
+				ks := st.damp[c].ks
+				if ks == nil {
+					continue
+				}
+				var probs [2]float64
+				s.KrausBranchProbs1Q(ks, st.q0, probs[:])
+				hookDraw(-1, i, probs[0], probs[1])
+				k := r.Choose(probs[:])
+				s.ApplyKrausBranch1Q(ks, st.q0, k, probs[k])
 			}
 		case stepMeasure:
 			// State.MeasureQubit's draw, then its projection.
 			p1 := s.ProbabilityOne(st.q0)
+			hookDraw(-1, i, p1, 0)
 			k := 0
 			if r.Float64() < p1 {
 				k = 1
@@ -519,54 +529,6 @@ func (m *Machine) runTrajectory(prog *program, s *statevec.State, trueBits []int
 		}
 	}
 	return m.applyReadout(prog, trueBits, r)
-}
-
-// probOne, krausProbs, krausBranch and project run the prefix-sharing
-// engines' stochastic steps on register qubit q, or on a qubit outside
-// the register (q == outside; registerSchedule). Such a qubit is exactly
-// |0>: its P(1) is +0, so a measurement observes 0 and only
-// renormalizes, and damping draws against populations (register, +0)
-// and scales the register.
-
-// probOne returns P(1) of qubit q.
-func probOne(s *statevec.State, q int) float64 {
-	if q == outside {
-		return 0
-	}
-	return s.ProbabilityOne(q)
-}
-
-// krausProbs fills probs with a damping channel's branch probabilities
-// on qubit q.
-func krausProbs(s *statevec.State, ks []circuit.Matrix2, q int, probs []float64) {
-	if q == outside {
-		s.KrausBranchProbsZero(ks, probs)
-		return
-	}
-	s.KrausBranchProbs1Q(ks, q, probs)
-}
-
-// krausBranch applies branch k, of probability p, of a damping channel
-// on qubit q.
-func krausBranch(s *statevec.State, ks []circuit.Matrix2, q, k int, p float64) {
-	if q == outside {
-		s.ApplyKrausBranchZero(ks, k, p)
-		return
-	}
-	s.ApplyKrausBranch1Q(ks, q, k, p)
-}
-
-// project collapses qubit q onto outcome k, dropping it from the
-// register when drop marks a terminal measurement.
-func project(s *statevec.State, q, k int, drop bool) {
-	switch {
-	case q == outside:
-		s.Renormalize()
-	case drop:
-		s.ProjectDrop(q, k)
-	default:
-		s.Project(q, k)
-	}
 }
 
 // applyUnitaryStep dispatches a deterministic unitary step to its fused
@@ -694,11 +656,10 @@ func (m *Machine) exactFromProgram(prog *program) (*dist.Dist, error) {
 			if localMeasured[st.q0] >= 0 {
 				return nil, fmt.Errorf("backend: step %d damps qubit %d after its measurement; ExactDist reads populations only at the end", i, prog.measPhys[localMeasured[st.q0]])
 			}
-			if st.ampK != nil {
-				rho.ApplyKraus1Q(st.ampK, st.q0)
-			}
-			if st.phK != nil {
-				rho.ApplyKraus1Q(st.phK, st.q0)
+			for c := range st.damp {
+				if ks := st.damp[c].ks; ks != nil {
+					rho.ApplyKraus1Q(ks, st.q0)
+				}
 			}
 		case stepMeasure:
 			localMeasured[st.q0] = st.cbit

@@ -1,9 +1,9 @@
 package backend
 
 import (
+	"sync"
 	"sync/atomic"
 
-	"edm/internal/circuit"
 	"edm/internal/dist"
 	"edm/internal/noise"
 	"edm/internal/rng"
@@ -74,70 +74,110 @@ type laneTrial struct {
 
 // rGroup is a contiguous run work[start:end] of trials whose replayed
 // histories are still identical: they share lane `lane` of the unit's
-// batch and the classical bits recorded so far.
+// batch and the classical bits recorded so far. p0 and p1 are the
+// populations the current sub-step's pass summed on the lane.
 type rGroup struct {
 	start, end int
 	lane       int
 	bits       []int
+	p0, p1     float64
 }
 
-// unitState is the double-buffered working set of one processUnit call.
+// unitState is the working set of processUnit: the double-buffered
+// trial order and groups, each lane's pending diagonal updates, and the
+// population pass's operands. A replay worker takes one from
+// unitScratch for the units it claims, so the slices grow to the
+// largest unit once and are reused across runs.
 type unitState struct {
 	work     []laneTrial // current trial order, grouped contiguously
 	swap     []laneTrial // next order, rebuilt by each partition
 	branch   []int       // branch drawn per work index, scratch
 	outcomes []int       // measured outcome per live lane, scratch for drops
+	norms    []float64   // kept-half population per live lane, scratch for drops
 	groups   []rGroup
 	gnext    []rGroup
+	pend     []pendList // pending diagonal updates per lane
+
+	// Population pass operands, one entry per group.
+	popLanes []int
+	popLists [][]statevec.Diag
+	pop0     []float64
+	pop1     []float64
 }
 
-// stochOp adapts one stochastic sub-step to the partition engine. prep
-// computes the state-dependent values once per group from its lane
-// (branch probabilities, P(1)); draw consumes exactly the uniforms the
-// legacy loop consumes and returns the branch id; apply mutates a
-// lane (and the group's bits) the way the legacy loop would for
-// that branch.
+// unitScratch recycles replay workers' working sets across runs.
+var unitScratch = sync.Pool{New: func() any { return new(unitState) }}
+
+// reset empties the working set for a unit of n trials (and so at most
+// n lanes), growing it when a larger unit arrives.
+func (us *unitState) reset(n int) {
+	if cap(us.work) < n {
+		us.work = make([]laneTrial, 0, n)
+		us.swap = make([]laneTrial, 0, n)
+		us.branch = make([]int, n)
+		us.outcomes = make([]int, n)
+		us.norms = make([]float64, n)
+		us.groups = make([]rGroup, 0, n)
+		us.gnext = make([]rGroup, 0, n)
+		us.pend = make([]pendList, n)
+		us.popLanes = make([]int, n)
+		us.popLists = make([][]statevec.Diag, n)
+		us.pop0 = make([]float64, n)
+		us.pop1 = make([]float64, n)
+	}
+	us.work, us.swap = us.work[:0], us.swap[:0]
+	us.groups, us.gnext = us.groups[:0], us.gnext[:0]
+	for i := range us.pend[:n] {
+		us.pend[i].n = 0
+	}
+}
+
+// flushAll applies every live lane's pending updates, before a step
+// that acts on all lanes at once.
+func (us *unitState) flushAll(b *statevec.Batch) {
+	for l := 0; l < b.Live(); l++ {
+		us.pend[l].flush(b.Lane(l))
+	}
+}
+
+// stochOp adapts one stochastic sub-step to the partition engine. When
+// pops is set, partitionStoch first runs one population pass of qubit q
+// over every group's lane, applying its pending updates, and prep turns
+// a group's populations into the draw's values (branch probabilities,
+// P(1)) and returns the operands the draw compares against; otherwise
+// the operands are a and b. draw consumes exactly the uniforms the
+// legacy loop consumes and returns the branch id; apply mutates a lane
+// (its pending list and the group's bits) the way the legacy loop would
+// for that branch.
 type stochOp struct {
-	prep  func(lane *statevec.State)
+	step  int
+	pops  bool
+	q     int
+	a, b  float64
+	prep  func(p0, p1 float64) (a, b float64)
 	draw  func(r *rng.RNG) int
-	apply func(lane *statevec.State, bits []int, branch int)
+	apply func(lane *statevec.State, pend *pendList, g *rGroup, branch int)
 }
 
 // applyUnitaryStepBatch is applyUnitaryStep across every live lane of a
-// batch: the same matClass dispatch onto the batched flat kernels.
+// batch for a step that is not diagonal (those go onto the lanes'
+// pending lists, setDiag): the same matClass dispatch onto the batched
+// flat kernels. A step that is not diagonal has every qubit in the
+// register.
 func applyUnitaryStepBatch(b *statevec.Batch, st *step, q0, q1 int) {
 	switch st.kind {
 	case stepU1:
-		switch st.class {
-		case matDiag:
-			if q0 == outside {
-				b.ScaleBatch(st.m2[0][0])
-				return
-			}
-			b.Apply1QDiagBatch(st.m2[0][0], st.m2[1][1], q0)
-		case matAnti:
+		if st.class == matAnti {
 			b.Apply1QAntiDiagBatch(st.m2[0][1], st.m2[1][0], q0)
-		default:
-			b.Apply1QBatch(st.m2, q0)
+			return
 		}
+		b.Apply1QBatch(st.m2, q0)
 	case stepU2:
-		switch st.class {
-		case matDiag:
-			switch {
-			case q0 == outside && q1 == outside:
-				b.ScaleBatch(st.d4[0])
-			case q1 == outside:
-				b.Apply1QDiagBatch(st.d4[0], st.d4[1], q0)
-			case q0 == outside:
-				b.Apply1QDiagBatch(st.d4[0], st.d4[2], q1)
-			default:
-				b.Apply2QDiagBatch(st.d4, q0, q1)
-			}
-		case matPerm:
+		if st.class == matPerm {
 			b.Apply2QPermBatch(st.perm, q0, q1)
-		default:
-			b.Apply2QBatch(st.m4, q0, q1)
+			return
 		}
+		b.Apply2QBatch(st.m4, q0, q1)
 	}
 }
 
@@ -146,23 +186,45 @@ func applyUnitaryStepBatch(b *statevec.Batch, st *step, q0, q1 int) {
 // trials disagree, clone lanes for minority branches, and rebuild the
 // work array so groups stay contiguous. Branch ids must fit [0, 16).
 //
-// Ordering matters twice. Clones are taken before any branch's operator
-// is applied, so every sub-group's lane snapshots the pre-step state.
-// And the keeper branch (the most populated; ties to the smallest id)
-// reuses the group's lane, so a group that does not split does no state
-// copying at all. The lane invariant guarantees every clone a lane.
+// A sub-step that reads populations sums every group's lane in one
+// population pass before any draw (Batch.PopsLanes): draws come from
+// per-trial streams, so the order across groups does not matter, and
+// each lane keeps its own summation order.
+//
+// Ordering matters twice more. Clones are taken before any branch's
+// operator is applied, so every sub-group's lane snapshots the pre-step
+// state; a clone copies a lane with nothing pending. And the keeper
+// branch (the most populated; ties to the smallest id) reuses the
+// group's lane, so a group that does not split does no state copying at
+// all. The lane invariant guarantees every clone a lane.
 func partitionStoch(b *statevec.Batch, us *unitState, op stochOp, tally *trialTally) {
+	if op.pops {
+		n := len(us.groups)
+		for gi := range us.groups {
+			l := us.groups[gi].lane
+			us.popLanes[gi] = l
+			us.popLists[gi] = us.pend[l].list()
+		}
+		b.PopsLanes(us.popLanes[:n], us.popLists[:n], op.q, us.pop0[:n], us.pop1[:n])
+		for gi := range us.groups {
+			g := &us.groups[gi]
+			g.p0, g.p1 = us.pop0[gi], us.pop1[gi]
+			us.pend[g.lane].n = 0
+		}
+	}
 	us.gnext = us.gnext[:0]
 	out := us.swap[:0]
 	for gi := range us.groups {
 		g := &us.groups[gi]
 		lane := b.Lane(g.lane)
+		a, bb := op.a, op.b
 		if op.prep != nil {
-			op.prep(lane)
+			a, bb = op.prep(g.p0, g.p1)
 		}
 		uniform := true
 		first := -1
 		for i := g.start; i < g.end; i++ {
+			hookDraw(us.work[i].id, op.step, a, bb)
 			k := op.draw(&us.work[i].r)
 			us.branch[i] = k
 			if first < 0 {
@@ -175,8 +237,10 @@ func partitionStoch(b *statevec.Batch, us *unitState, op stochOp, tally *trialTa
 			// Whole group took one branch: keep the lane, no reorder.
 			ns := len(out)
 			out = append(out, us.work[g.start:g.end]...)
-			op.apply(lane, g.bits, first)
-			us.gnext = append(us.gnext, rGroup{start: ns, end: len(out), lane: g.lane, bits: g.bits})
+			us.gnext = append(us.gnext, *g)
+			sub := &us.gnext[len(us.gnext)-1]
+			sub.start, sub.end = ns, len(out)
+			op.apply(lane, &us.pend[sub.lane], sub, first)
 			continue
 		}
 		var cnt [16]int
@@ -191,39 +255,35 @@ func partitionStoch(b *statevec.Batch, us *unitState, op stochOp, tally *trialTa
 		}
 		// Two passes: assign lanes and gather sub-groups first, apply
 		// after — clones must snapshot the lane before the keeper's
-		// operator mutates it.
-		type subGroup struct {
-			g      rGroup
-			branch int
-		}
-		var subs [16]subGroup
-		nsubs := 0
+		// operator mutates it. Sub-groups go straight into gnext, which
+		// holds one group per lane at most, so it never reallocates.
+		us.pend[g.lane].flush(lane)
+		base := len(us.gnext)
+		var branches [16]int
 		for k, c := range cnt {
 			if c == 0 {
 				continue
 			}
-			laneIdx := g.lane
-			bits := g.bits
+			sub := *g
 			if k != keep {
-				laneIdx = b.CloneLane(g.lane)
-				bits = append([]int(nil), g.bits...)
+				sub.lane = b.CloneLane(g.lane)
+				sub.bits = append([]int(nil), g.bits...)
+				us.pend[sub.lane].n = 0
 				tally.clones++
 			}
-			ns := len(out)
+			sub.start = len(out)
 			for i := g.start; i < g.end; i++ {
 				if us.branch[i] == k {
 					out = append(out, us.work[i])
 				}
 			}
-			subs[nsubs] = subGroup{
-				g:      rGroup{start: ns, end: len(out), lane: laneIdx, bits: bits},
-				branch: k,
-			}
-			nsubs++
+			sub.end = len(out)
+			branches[len(us.gnext)-base] = k
+			us.gnext = append(us.gnext, sub)
 		}
-		for i := 0; i < nsubs; i++ {
-			op.apply(b.Lane(subs[i].g.lane), subs[i].g.bits, subs[i].branch)
-			us.gnext = append(us.gnext, subs[i].g)
+		for i := base; i < len(us.gnext); i++ {
+			sg := &us.gnext[i]
+			op.apply(b.Lane(sg.lane), &us.pend[sg.lane], sg, branches[i-base])
 		}
 	}
 	us.work, us.swap = out, us.work[:0]
@@ -234,22 +294,18 @@ func partitionStoch(b *statevec.Batch, us *unitState, op stochOp, tally *trialTa
 // on the plan's register (registerSchedule), observing each trial's
 // outcome into counts. The batch has one lane per trial and room for
 // every local qubit; its lanes start at the checkpoint's width, widen
-// at every entry and narrow at every terminal measurement. A cancelled
-// run returns early; the caller discards partial counts.
-func (m *Machine) processUnit(prog *program, plan *prefixPlan, u replayUnit, base *rng.RNG, counts *dist.Counts, tally *trialTally, cancel *atomic.Bool) {
+// at every entry and narrow at every terminal measurement. Diagonal
+// updates stay pending on their lane until its next population pass,
+// and are flushed before any step that acts on the lanes otherwise. us
+// is the worker's scratch. A cancelled run returns early; the caller
+// discards partial counts.
+func (m *Machine) processUnit(prog *program, plan *prefixPlan, u replayUnit, base *rng.RNG, counts *dist.Counts, tally *trialTally, cancel *atomic.Bool, us *unitState) {
 	ck := u.ck
 	lanes := len(u.ids)
 	b := statevec.GetBatch(prog.nLocal, lanes)
 	defer b.Release()
 
-	us := &unitState{
-		work:     make([]laneTrial, 0, len(u.ids)),
-		swap:     make([]laneTrial, 0, len(u.ids)),
-		branch:   make([]int, len(u.ids)),
-		outcomes: make([]int, lanes),
-		groups:   make([]rGroup, 0, 4),
-		gnext:    make([]rGroup, 0, 4),
-	}
+	us.reset(lanes)
 	for _, t := range u.ids {
 		rr := base.DeriveN("trial", t)
 		rr.Skip(ck.tapeIdx)
@@ -264,7 +320,6 @@ func (m *Machine) processUnit(prog *program, plan *prefixPlan, u replayUnit, bas
 	copy(bits, ck.bits)
 	us.groups = append(us.groups, rGroup{start: 0, end: len(us.work), lane: lane0, bits: bits})
 
-	var probs [2]float64
 	for si := ck.stepIdx; si < len(prog.steps); si++ {
 		if cancel != nil && cancel.Load() {
 			return
@@ -272,29 +327,44 @@ func (m *Machine) processUnit(prog *program, plan *prefixPlan, u replayUnit, bas
 		st := &prog.steps[si]
 		for _, e := range plan.reg[si].enter {
 			if e >= 0 {
+				us.flushAll(b)
 				b.Enter(int(e))
 			}
 		}
 		q0, q1, drop := plan.at(si)
 		switch st.kind {
 		case stepU1, stepU2:
-			applyUnitaryStepBatch(b, st, q0, q1)
+			if us.pend[0].addStep(b.Lane(0), st, q0, q1) {
+				d := &us.pend[0].d[us.pend[0].n-1]
+				for l := 1; l < b.Live(); l++ {
+					*us.pend[l].next(b.Lane(l)) = *d
+				}
+			} else {
+				us.flushAll(b)
+				applyUnitaryStepBatch(b, st, q0, q1)
+			}
 		case stepPauli1:
 			partitionStoch(b, us, stochOp{
+				step: si, a: st.p,
 				draw: func(r *rng.RNG) int { return noise.SamplePauli1Q(st.p, r) },
-				apply: func(lane *statevec.State, _ []int, k int) {
+				apply: func(lane *statevec.State, pend *pendList, _ *rGroup, k int) {
 					if k != 0 {
+						pend.flush(lane)
 						lane.Apply1Q(noise.Pauli1Q[k], q0)
 					}
 				},
 			}, tally)
 		case stepPauli2:
 			partitionStoch(b, us, stochOp{
+				step: si, a: st.p,
 				draw: func(r *rng.RNG) int {
 					ka, kb := noise.SamplePauli2Q(st.p, r)
 					return ka | kb<<2
 				},
-				apply: func(lane *statevec.State, _ []int, k int) {
+				apply: func(lane *statevec.State, pend *pendList, _ *rGroup, k int) {
+					if k != 0 {
+						pend.flush(lane)
+					}
 					if ka := k & 3; ka != 0 {
 						lane.Apply1Q(noise.Pauli1Q[ka], q0)
 					}
@@ -307,46 +377,58 @@ func (m *Machine) processUnit(prog *program, plan *prefixPlan, u replayUnit, bas
 			// addDamp builds both Kraus sets with exactly two operators,
 			// so each channel is one two-way stochastic sub-step with the
 			// same draw sequence as State.ApplyKraus1Q.
-			for _, ks := range [2][]circuit.Matrix2{st.ampK, st.phK} {
-				if ks == nil {
+			for c := range st.damp {
+				ch := &st.damp[c]
+				if ch.ks == nil {
 					continue
 				}
-				ks := ks
+				var probs [2]float64
 				partitionStoch(b, us, stochOp{
-					prep: func(lane *statevec.State) { krausProbs(lane, ks, q0, probs[:]) },
+					step: si, pops: true, q: q0,
+					prep: func(p0, p1 float64) (float64, float64) {
+						probs = ch.probs(p0, p1)
+						return probs[0], probs[1]
+					},
 					draw: func(r *rng.RNG) int { return r.Choose(probs[:]) },
-					apply: func(lane *statevec.State, _ []int, k int) {
-						krausBranch(lane, ks, q0, k, probs[k])
+					apply: func(lane *statevec.State, pend *pendList, _ *rGroup, k int) {
+						ch.branch(lane, pend, q0, k, probs[k])
 					},
 				}, tally)
 			}
 		case stepMeasure:
 			var p1 float64
 			partitionStoch(b, us, stochOp{
-				prep: func(lane *statevec.State) { p1 = probOne(lane, q0) },
+				step: si, pops: true, q: q0,
+				prep: func(_, pop1 float64) (float64, float64) {
+					p1 = pop1
+					return p1, 0
+				},
 				draw: func(r *rng.RNG) int {
 					if r.Float64() < p1 {
 						return 1
 					}
 					return 0
 				},
-				apply: func(lane *statevec.State, bits []int, k int) {
+				apply: func(lane *statevec.State, _ *pendList, g *rGroup, k int) {
 					if !drop {
-						project(lane, q0, k, false)
+						lane.Collapse(q0, k, [2]float64{g.p0, g.p1}[k], false)
 					}
-					bits[st.cbit] = k
+					g.bits[st.cbit] = k
 				},
 			}, tally)
 			if drop {
 				// Every live lane belongs to exactly one group, whose bits
-				// now hold the lane's outcome: project and drop all lanes
-				// at once so they keep a common stride.
-				out := us.outcomes[:b.Live()]
+				// now hold the lane's outcome and whose pass gave its norm:
+				// project and drop all lanes at once so they keep a common
+				// stride.
+				out, norms := us.outcomes[:b.Live()], us.norms[:b.Live()]
 				for gi := range us.groups {
 					g := &us.groups[gi]
-					out[g.lane] = g.bits[st.cbit]
+					k := g.bits[st.cbit]
+					out[g.lane] = k
+					norms[g.lane] = [2]float64{g.p0, g.p1}[k]
 				}
-				b.ProjectDrop(q0, out)
+				b.ProjectDrop(q0, out, norms)
 			}
 		}
 	}

@@ -282,7 +282,7 @@ func TestTerminalDropMarking(t *testing.T) {
 			if int(r.width) != width {
 				t.Fatalf("%s step %d: width %d, want %d", tc.name, i, r.width, width)
 			}
-			if st.kind == stepDamp && (!statevec.KrausKeepsZero(st.ampK) || !statevec.KrausKeepsZero(st.phK)) {
+			if st.kind == stepDamp && (!statevec.KrausKeepsZero(st.damp[0].ks) || !statevec.KrausKeepsZero(st.damp[1].ks)) {
 				t.Fatalf("%s step %d: melbourne damping moves |0>", tc.name, i)
 			}
 			qs := []int{st.q0}

@@ -147,7 +147,8 @@ func checkPathOnFullRegister(t *testing.T, name string, prog *program, leaf *tre
 				same(i, "Pauli rate", next(i).e.a, st.p)
 			}
 		case stepDamp:
-			for _, ks := range [2][]circuit.Matrix2{st.ampK, st.phK} {
+			for _, ch := range st.damp {
+				ks := ch.ks
 				if ks == nil {
 					continue
 				}
@@ -176,13 +177,15 @@ func checkPathOnFullRegister(t *testing.T, name string, prog *program, leaf *tre
 	}
 }
 
-// TestLazyEntryBatchDispatch pins applyUnitaryStepBatch to
-// applyUnitaryStep lane by lane, bit for bit, for every unitary step of
-// the entry cases at its place on the register — diagonal steps with one
-// or both qubits outside included. TestLazyEntryTapeBitIdentical pins
-// applyUnitaryStep to the full register, so together they pin the
-// batched replay's unitary dispatch, whose slips the Counts identity
-// would only see through a flipped draw.
+// TestLazyEntryBatchDispatch pins the batched replay's unitary dispatch
+// to applyUnitaryStep lane by lane, bit for bit, for every unitary step
+// of the entry cases at its place on the register: applyUnitaryStepBatch
+// for the steps that are not diagonal, and the pending update setDiag
+// makes of each diagonal step — with one or both qubits outside
+// included. TestLazyEntryTapeBitIdentical pins applyUnitaryStep to the
+// full register, so together they pin the batched replay's unitary
+// dispatch, whose slips the Counts identity would only see through a
+// flipped draw.
 func TestLazyEntryBatchDispatch(t *testing.T) {
 	r := rng.New(31)
 	for _, tc := range fixedEntryCases() {
@@ -208,7 +211,14 @@ func TestLazyEntryBatchDispatch(t *testing.T) {
 				lanes[k] = denseState(w, r)
 				b.PushLane(lanes[k])
 			}
-			applyUnitaryStepBatch(b, st, q0, q1)
+			d := make([]statevec.Diag, 1)
+			if setDiag(&d[0], st, q0, q1) {
+				for k := range lanes {
+					b.Lane(k).ApplyDiags(d)
+				}
+			} else {
+				applyUnitaryStepBatch(b, st, q0, q1)
+			}
 			for k, s := range lanes {
 				applyUnitaryStep(s, st, q0, q1)
 				for a := uint64(0); a < 1<<uint(w); a++ {

@@ -64,7 +64,6 @@ import (
 	"sort"
 	"sync/atomic"
 
-	"edm/internal/circuit"
 	"edm/internal/rng"
 	"edm/internal/statevec"
 )
@@ -320,7 +319,7 @@ func entersAt(st *step) bool {
 	case stepPauli1, stepPauli2:
 		return true
 	case stepDamp:
-		return !statevec.KrausKeepsZero(st.ampK) || !statevec.KrausKeepsZero(st.phK)
+		return !st.damp[0].keepsZero || !st.damp[1].keepsZero
 	}
 	return false // stepMeasure
 }
@@ -574,7 +573,7 @@ func buildPrefixPlan(prog *program) *prefixPlan {
 	defer statevec.PutState(s)
 	s.CopyFrom(emptyRegister)
 	bits := make([]int, prog.numClbits)
-	b.build(root, s, bits, 0, 0, 0)
+	b.build(root, s, new(pendList), bits, 0, 0, 0)
 	for _, n := range plan.nodes {
 		if n.isLeaf() {
 			plan.leaves = append(plan.leaves, n)
@@ -595,11 +594,13 @@ const (
 )
 
 // build executes the dominant path of node's segment from schedule
-// position (startStep, startSub) with tapeIdx path draws consumed. s
-// and bits are the running path state; build either completes the
-// schedule (node becomes a leaf) or forks and recurses into both
-// children, cloning the state once for the minority branch.
-func (b *treeBuilder) build(node *treeNode, s *statevec.State, bits []int, startStep, startSub, tapeIdx int) {
+// position (startStep, startSub) with tapeIdx path draws consumed. s,
+// its pending diagonal updates and bits are the running path state;
+// build either completes the schedule (node becomes a leaf) or forks
+// and recurses into both children, cloning the state once for the
+// minority branch. Diagonal updates stay pending until the next
+// population pass; a snapshot, an entry or any other step flushes them.
+func (b *treeBuilder) build(node *treeNode, s *statevec.State, pend *pendList, bits []int, startStep, startSub, tapeIdx int) {
 	prog := b.prog
 	for i := startStep; i < len(prog.steps); i++ {
 		st := &prog.steps[i]
@@ -610,17 +611,22 @@ func (b *treeBuilder) build(node *treeNode, s *statevec.State, bits []int, start
 		}
 		if sub == subStart {
 			if i == b.firstMeas {
+				pend.flush(s)
 				b.snapshot(node, s, bits, i, tapeIdx)
 			}
 			for _, e := range b.plan.reg[i].enter {
 				if e >= 0 {
+					pend.flush(s)
 					s.Enter(int(e))
 				}
 			}
 		}
 		switch st.kind {
 		case stepU1, stepU2:
-			applyUnitaryStep(s, st, q0, q1)
+			if !pend.addStep(s, st, q0, q1) {
+				pend.flush(s)
+				applyUnitaryStep(s, st, q0, q1)
+			}
 		case stepPauli1, stepPauli2:
 			// Preferred branch: no error. This is the maximum-probability
 			// branch whenever p < 1/2, which holds for every calibrated
@@ -632,24 +638,22 @@ func (b *treeBuilder) build(node *treeNode, s *statevec.State, bits []int, start
 				tapeIdx++
 			}
 		case stepDamp:
-			if st.ampK != nil && sub < subAfterA {
-				if b.emitKraus(node, s, bits, st.ampK, q0, i, subAfterA, &tapeIdx) {
-					return
-				}
-			}
-			if st.phK != nil && sub < subAfterP {
-				if b.emitKraus(node, s, bits, st.phK, q0, i, subAfterP, &tapeIdx) {
-					return
+			for c, next := range [2]int{subAfterA, subAfterP} {
+				if st.damp[c].ks != nil && sub < next {
+					if b.emitKraus(node, s, pend, bits, &st.damp[c], q0, i, next, &tapeIdx) {
+						return
+					}
 				}
 			}
 		case stepMeasure:
 			if sub == subStart {
-				if b.emitMeasure(node, s, bits, st, i, &tapeIdx) {
+				if b.emitMeasure(node, s, pend, bits, st, i, &tapeIdx) {
 					return
 				}
 			}
 		}
 		if (i+1)%b.spacing == 0 && i+1 < len(prog.steps) {
+			pend.flush(s)
 			b.snapshot(node, s, bits, i+1, tapeIdx)
 		}
 	}
@@ -660,35 +664,37 @@ func (b *treeBuilder) build(node *treeNode, s *statevec.State, bits []int, start
 // both children from schedule position (stepIdx, nextSub): apply is
 // called with the branch index and the branch's state to take the
 // branch's state update. The dominant branch continues in place; the
-// minority branch gets a copy with room for every qubit to enter.
-func (b *treeBuilder) fork(node *treeNode, s *statevec.State, bits []int, entry tapeEntry,
-	dom, stepIdx, nextSub, tapeIdx int, apply func(branch int, bs *statevec.State, bb []int)) {
+// minority branch gets a copy with room for every qubit to enter. Forks
+// come right after a population pass, so no update is pending on s.
+func (b *treeBuilder) fork(node *treeNode, s *statevec.State, pend *pendList, bits []int, entry tapeEntry,
+	dom, stepIdx, nextSub, tapeIdx int, apply func(branch int, bs *statevec.State, bp *pendList, bb []int)) {
 	node.fork = entry
 	b.leaves++
 	other := statevec.GetState(b.prog.nLocal)
 	defer statevec.PutState(other)
 	other.CopyFrom(s)
 	otherBits := append([]int(nil), bits...)
+	var otherPend pendList
 	cd := b.newNode(node)
 	node.children[dom] = cd
-	apply(dom, s, bits)
-	b.build(cd, s, bits, stepIdx, nextSub, tapeIdx)
+	apply(dom, s, pend, bits)
+	b.build(cd, s, pend, bits, stepIdx, nextSub, tapeIdx)
 	co := b.newNode(node)
 	node.children[1-dom] = co
-	apply(1-dom, other, otherBits)
-	b.build(co, other, otherBits, stepIdx, nextSub, tapeIdx)
+	apply(1-dom, other, &otherPend, otherBits)
+	b.build(co, other, &otherPend, otherBits, stepIdx, nextSub, tapeIdx)
 }
 
 // emitKraus records one two-operator Kraus selection on the dominant
 // path: branch probabilities are computed exactly as a live
-// ApplyKraus1Q would on this state, the higher-probability branch is
-// recorded and applied (pre-scaled, through the same kernels). It
-// returns true if the selection forked (the children own the rest of
-// the schedule).
-func (b *treeBuilder) emitKraus(node *treeNode, s *statevec.State, bits []int,
-	ks []circuit.Matrix2, q, stepIdx, nextSub int, tapeIdx *int) bool {
-	var probs [2]float64
-	krausProbs(s, ks, q, probs[:])
+// ApplyKraus1Q would on this state — from the populations of the pass
+// that also applies the pending updates — and the higher-probability
+// branch is recorded and taken (pre-scaled, as ApplyKrausBranch1Q
+// does). It returns true if the selection forked (the children own the
+// rest of the schedule).
+func (b *treeBuilder) emitKraus(node *treeNode, s *statevec.State, pend *pendList, bits []int,
+	ch *dampChan, q, stepIdx, nextSub int, tapeIdx *int) bool {
+	probs := ch.probs(pend.pops(s, q))
 	// total replicates rng.Choose's summation order.
 	total := probs[0] + probs[1]
 	dom := 0
@@ -700,27 +706,30 @@ func (b *treeBuilder) emitKraus(node *treeNode, s *statevec.State, bits []int,
 	entry := tapeEntry{op: op, a: probs[0], b: total, step: int32(stepIdx)}
 	if minor := probs[1-dom] / total; minor >= forkMinProb && b.canFork() {
 		*tapeIdx++
-		b.fork(node, s, bits, entry, dom, stepIdx, nextSub, *tapeIdx,
-			func(branch int, bs *statevec.State, _ []int) {
-				krausBranch(bs, ks, q, branch, probs[branch])
+		b.fork(node, s, pend, bits, entry, dom, stepIdx, nextSub, *tapeIdx,
+			func(branch int, bs *statevec.State, bp *pendList, _ []int) {
+				ch.branch(bs, bp, q, branch, probs[branch])
 			})
 		return true
 	}
 	node.tape = append(node.tape, entry)
 	*tapeIdx++
-	krausBranch(s, ks, q, dom, probs[dom])
+	ch.branch(s, pend, q, dom, probs[dom])
 	return false
 }
 
 // emitMeasure records one measurement on the dominant path, forking
 // when the outcome is near-50/50 (the canonical genuinely random branch
 // point: measuring an equal superposition), and drops the qubit on every
-// branch when the measurement is terminal. It returns true if the
-// measurement forked.
-func (b *treeBuilder) emitMeasure(node *treeNode, s *statevec.State, bits []int,
+// branch when the measurement is terminal. The population pass that
+// gives P(1) also gives each outcome's projection norm. It returns true
+// if the measurement forked.
+func (b *treeBuilder) emitMeasure(node *treeNode, s *statevec.State, pend *pendList, bits []int,
 	st *step, stepIdx int, tapeIdx *int) bool {
 	q, _, drop := b.plan.at(stepIdx)
-	p1 := probOne(s, q)
+	var pk [2]float64
+	pk[0], pk[1] = pend.pops(s, q)
+	p1 := pk[1]
 	dom := 0
 	op := tapeMeas0
 	if p1 >= 0.5 {
@@ -734,16 +743,16 @@ func (b *treeBuilder) emitMeasure(node *treeNode, s *statevec.State, bits []int,
 	}
 	if minor >= forkMinProb && b.canFork() {
 		*tapeIdx++
-		b.fork(node, s, bits, entry, dom, stepIdx, subAfterA, *tapeIdx,
-			func(branch int, bs *statevec.State, bb []int) {
-				project(bs, q, branch, drop)
+		b.fork(node, s, pend, bits, entry, dom, stepIdx, subAfterA, *tapeIdx,
+			func(branch int, bs *statevec.State, _ *pendList, bb []int) {
+				bs.Collapse(q, branch, pk[branch], drop)
 				bb[st.cbit] = branch
 			})
 		return true
 	}
 	node.tape = append(node.tape, entry)
 	*tapeIdx++
-	project(s, q, dom, drop)
+	s.Collapse(q, dom, pk[dom], drop)
 	bits[st.cbit] = dom
 	return false
 }

@@ -57,6 +57,20 @@ type divTrial struct {
 // legacy loop's stream. Production runs leave it nil.
 var testHookReadout func(trial int, out bitstr.BitString, final *rng.RNG)
 
+// testHookDraw, when set by a test, observes the operands of every draw
+// the legacy loop and processUnit compare a uniform against: the trial
+// (-1 from the legacy loop, whose caller knows which trial it runs), the
+// schedule step, and the operands — a Pauli step's rate, a damping
+// channel's two branch probabilities, a measurement's P(1) (b is 0 for
+// the one-operand draws). Production runs leave it nil.
+var testHookDraw func(trial, step int, a, b float64)
+
+func hookDraw(trial, step int, a, b float64) {
+	if testHookDraw != nil {
+		testHookDraw(trial, step, a, b)
+	}
+}
+
 // trialTally accumulates one worker's engine counters so the trial loops
 // touch no atomics; fanOut flushes it once per worker.
 type trialTally struct {
@@ -194,12 +208,14 @@ func (m *Machine) runBatched(prog *program, plan *prefixPlan, trials int, r *rng
 	// Phase B: batched suffix replay, units claimed from a shared cursor.
 	var claimed atomic.Int64
 	counts.Merge(fanOut(min(workers, len(units)), prog.numClbits, func(_ int, counts *dist.Counts, tally *trialTally) {
+		us := unitScratch.Get().(*unitState)
+		defer unitScratch.Put(us)
 		for cancel == nil || !cancel.Load() {
 			i := int(claimed.Add(1)) - 1
 			if i >= len(units) {
 				break
 			}
-			m.processUnit(prog, plan, units[i], r, counts, tally, cancel)
+			m.processUnit(prog, plan, units[i], r, counts, tally, cancel, us)
 		}
 	}))
 	return counts

@@ -101,8 +101,10 @@ func RunCLI(args []string, stdout, stderr io.Writer) int {
 	cfg.JobTimeout = 0
 	svc, err := NewService(cfg)
 	if err != nil {
+		// A refused configuration (unknown device, bad window or drift)
+		// is a usage error, as it is for serve.
 		fmt.Fprintf(stderr, "run: %v\n", err)
-		return 1
+		return 2
 	}
 	defer svc.Close()
 	res, err := svc.RunJob(context.Background(), spec)

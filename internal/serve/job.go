@@ -127,7 +127,11 @@ func (s *JobSpec) Validate() error {
 }
 
 // buildCircuit resolves the spec to a logical circuit. Parse and lookup
-// failures are ErrBadJob: they describe the payload, not the service.
+// failures are ErrBadJob: they describe the payload, not the service. So
+// is an inline circuit that measures no qubit: a job's result is a
+// histogram of measured bits, and such a circuit would report an empty
+// bitstring or a bit nothing wrote. Circuit.Validate accepts it, since
+// library callers may simulate circuits without measuring them.
 func (s *JobSpec) buildCircuit() (*circuit.Circuit, error) {
 	if s.Workload != "" {
 		w, ok := workloads.ByName(s.Workload)
@@ -151,6 +155,12 @@ func (s *JobSpec) buildCircuit() (*circuit.Circuit, error) {
 	}
 	if err != nil {
 		return nil, badJob("parse circuit: %v", err)
+	}
+	if err := c.Validate(); err != nil {
+		return nil, badJob("%v", err)
+	}
+	if c.Stats().M == 0 {
+		return nil, badJob("circuit measures no qubit: a job reports measured bits, so it needs at least one measure")
 	}
 	return c, nil
 }

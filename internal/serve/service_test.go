@@ -173,6 +173,12 @@ func TestRunJobBadSpecs(t *testing.T) {
 		{"garbage qasm", &JobSpec{Circuit: "OPENQASM 9;", Format: "qasm", Trials: 100}},
 		{"circuit too wide", &JobSpec{Circuit: "qubits 20\ncbits 1\nh 0\nmeasure 0 -> 0\n", Trials: 100}},
 	}
+	for name, src := range unmeasuredCircuits {
+		cases = append(cases, struct {
+			name string
+			spec *JobSpec
+		}{name, &JobSpec{Circuit: src.circuit, Format: src.format, Trials: 100}})
+	}
 	for name, src := range untouchedCircuits {
 		for _, policy := range []string{"edm", "best"} {
 			cases = append(cases, struct {
@@ -203,6 +209,15 @@ var nonFiniteCircuits = map[string]struct{ circuit, format string }{
 	"u3(NaN,0,0)":   {"qubits 2\ncbits 2\nx 0\nu3(NaN,0,0) 0\nmeasure 0 -> 0\nmeasure 1 -> 1\n", "text"},
 	"qasm rz(nan)":  {"OPENQASM 2.0;\nqreg q[2];\ncreg c[2];\nx q[0];\nrz(nan) q[0];\nmeasure q[0] -> c[0];\nmeasure q[1] -> c[1];\n", "qasm"},
 	"qasm overflow": {"OPENQASM 2.0;\nqreg q[2];\ncreg c[2];\nx q[0];\nrz(pi/1e-320) q[0];\nmeasure q[0] -> c[0];\nmeasure q[1] -> c[1];\n", "qasm"},
+}
+
+// unmeasuredCircuits are inline circuits that act on qubits but measure
+// none. A job reports measured bits, so each would print an empty
+// bitstring, or a bit that nothing wrote.
+var unmeasuredCircuits = map[string]struct{ circuit, format string }{
+	"no cbits":        {"qubits 2\nh 0\n", "text"},
+	"unwritten bit":   {"qubits 2\ncbits 1\nh 0\n", "text"},
+	"qasm no measure": {"OPENQASM 2.0;\nqreg q[2];\ncreg c[1];\nh q[0];\n", "qasm"},
 }
 
 // untouchedCircuits are inline circuits whose ops touch no qubit. The

@@ -2,6 +2,7 @@ package statevec
 
 import (
 	"fmt"
+	"math"
 
 	"edm/internal/circuit"
 	"edm/internal/pool"
@@ -236,15 +237,18 @@ func (b *Batch) Apply2QPermBatch(p Perm4, q0, q1 int) {
 
 // ProjectDrop collapses qubit q of every live lane i onto outcomes[i]
 // and drops q from every lane, each lane exactly as State.ProjectDrop
-// would. The lanes stay back to back at the new stride 2^(n-1), so the
-// flat kernels keep covering every live lane in one pass. Lanes are
+// would. norms[i] is lane i's kept-half population: the p0 or p1 the
+// population pass that drew its outcome returned (PopsLanes), which is
+// the norm State.ProjectDrop sums, so no norm pass runs (State.Collapse).
+// The lanes stay back to back at the new stride 2^(n-1), so the flat
+// kernels keep covering every live lane in one pass. Lanes are
 // compacted in ascending order: lane i's kept half lands at or below its
 // own old slot and below lane i+1's, so the pass reads every amplitude
 // before anything overwrites it.
-func (b *Batch) ProjectDrop(q int, outcomes []int) {
+func (b *Batch) ProjectDrop(q int, outcomes []int, norms []float64) {
 	b.checkQubit(q)
-	if len(outcomes) != b.live {
-		panic(fmt.Sprintf("statevec: ProjectDrop with %d outcomes for %d lanes", len(outcomes), b.live))
+	if len(outcomes) != b.live || len(norms) != b.live {
+		panic(fmt.Sprintf("statevec: ProjectDrop with %d outcomes and %d norms for %d lanes", len(outcomes), len(norms), b.live))
 	}
 	half := 1 << uint(b.n-1)
 	for i, k := range outcomes {
@@ -252,7 +256,10 @@ func (b *Batch) ProjectDrop(q int, outcomes []int) {
 			panic(fmt.Sprintf("statevec: ProjectDrop with outcome %d", k))
 		}
 		lo, hi := i*half, (i+1)*half
-		projectDrop(b.re[lo:hi:hi], b.im[lo:hi:hi], b.views[i].re, b.views[i].im, 1<<uint(q), k)
+		if norms[i] <= 0 {
+			panic("statevec: projection onto zero-probability outcome")
+		}
+		gatherScale(b.re[lo:hi:hi], b.im[lo:hi:hi], b.views[i].re, b.views[i].im, 1<<uint(q), k, 1/math.Sqrt(norms[i]))
 	}
 	b.setWidth(b.n - 1)
 }
@@ -269,11 +276,4 @@ func (b *Batch) Enter(q int) {
 	size := b.live << uint(b.n)
 	b.setWidth(b.n + 1)
 	enterSpread(b.re, b.im, size, 1<<uint(q))
-}
-
-// ScaleBatch multiplies every amplitude of every live lane by c, as
-// State.Scale does per lane.
-func (b *Batch) ScaleBatch(c complex128) {
-	re, im := b.flat()
-	cscaleRun(re, im, real(c), imag(c))
 }

@@ -211,3 +211,53 @@ func BenchmarkFrozenApplyDiagonal(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkDampStep compares one damping step on the unfused path with
+// the fused kernel, on 1, 2 and 4 lanes of a batch. The unfused step is
+// the branch probabilities' population pass (KrausBranchProbs1Q), then
+// the drawn diagonal branch's own sweep (Apply1QDiag); the next
+// iteration's pass is the next step's populations. The fused step is
+// one Batch.PopsLanes pass that applies the previous step's branch,
+// left pending, and sums the populations. The branch coefficients have
+// modulus 1, so repeated iterations keep the amplitudes' magnitudes and
+// never reach subnormals.
+func BenchmarkDampStep(b *testing.B) {
+	ks := []circuit.Matrix2{{{1, 0}, {0, 0.99}}, {{0, 0}, {0, 0.14}}}
+	c0, c1 := complex(0.6, 0.8), complex(0.8, -0.6)
+	for _, n := range []int{6, 10, 12} {
+		for _, q := range []int{0, 1, n / 2, n - 1} {
+			for _, lanes := range []int{1, 2, 4} {
+				batch := GetBatch(n, lanes)
+				ids := make([]int, lanes)
+				for l := range ids {
+					ids[l] = batch.PushLane(randomState(n, rng.New(uint64(7+l))))
+				}
+				name := fmt.Sprintf("n%d/q%d/lanes%d", n, q, lanes)
+				b.Run(name+"/unfused", func(b *testing.B) {
+					var probs [2]float64
+					for i := 0; i < b.N; i++ {
+						for _, l := range ids {
+							s := batch.Lane(l)
+							s.KrausBranchProbs1Q(ks, q, probs[:])
+							s.Apply1QDiag(c0, c1, q)
+						}
+					}
+				})
+				b.Run(name+"/fused", func(b *testing.B) {
+					lists := make([][]Diag, lanes)
+					for l := range lists {
+						lists[l] = make([]Diag, 1)
+						lists[l][0].Set1Q(c0, c1, q)
+					}
+					p0 := make([]float64, lanes)
+					p1 := make([]float64, lanes)
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						batch.PopsLanes(ids, lists, q, p0, p1)
+					}
+				})
+				batch.Release()
+			}
+		}
+	}
+}

@@ -181,9 +181,12 @@ func TestProjectDropBatchLanes(t *testing.T) {
 				r := rng.New(uint64(9100 + q))
 				b := GetBatch(n, lanes+2)
 				want := make([]*State, lanes)
+				norms := make([]float64, lanes)
 				for i := 0; i < lanes; i++ {
 					src := randomState(n, r)
 					b.PushLane(src)
+					p0, p1 := src.PopsAfter(nil, q)
+					norms[i] = [2]float64{p0, p1}[outcomes[i]]
 					full := src.Clone()
 					full.Project(q, outcomes[i])
 					re, im := gatherKept(full, []dropped{{q, outcomes[i]}})
@@ -191,7 +194,7 @@ func TestProjectDropBatchLanes(t *testing.T) {
 					copy(want[i].re, re)
 					copy(want[i].im, im)
 				}
-				b.ProjectDrop(q, outcomes)
+				b.ProjectDrop(q, outcomes, norms)
 				if b.N() != n-1 || b.Live() != lanes {
 					t.Fatalf("%s: batch width %d with %d lanes after drop", tag, b.N(), b.Live())
 				}
@@ -261,6 +264,6 @@ func TestProjectDropReusesBuffer(t *testing.T) {
 	defer b.Release()
 	b.PushLane(nil)
 	mustPanic(t, func() { b.Lane(0).ProjectDrop(0, 0) })
-	mustPanic(t, func() { b.ProjectDrop(0, []int{0, 1}) })
+	mustPanic(t, func() { b.ProjectDrop(0, []int{0, 1}, []float64{1, 1}) })
 	mustPanic(t, func() { NewState(2).ProjectDrop(0, 1) })
 }

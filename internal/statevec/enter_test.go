@@ -89,10 +89,10 @@ func TestEnterMatchesOracle(t *testing.T) {
 					m := randomDense2(r)
 					b.Apply1QBatch(m, q)
 					c := complex(r.Float64(), r.Float64())
-					b.ScaleBatch(c)
+					b.Apply1QDiagBatch(c, c, q)
 					for _, w := range want {
 						w.Apply1Q(m, q)
-						w.Scale(c)
+						w.Apply1QDiag(c, c, q)
 					}
 					cl := b.CloneLane(2)
 					p := b.PushLane(want[4])

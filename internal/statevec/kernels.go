@@ -10,8 +10,11 @@ package statevec
 // column order. The scalar bodies in turn replicate the frozen
 // complex128 loops (frozen_test.go) operation for operation, so Counts
 // and recorded thresholds are bit-identical no matter which path runs.
-// Reductions (Norm, ProbabilityOne, Kraus branch probabilities) stay
-// scalar in statevec.go: vectorizing them would change summation order.
+// Every reduction (Norm, ProbabilityOne, Kraus branch probabilities, the
+// fused population passes of diag.go) adds its terms one at a time in
+// ascending index order; a vector register may hold several separate
+// chains side by side, never partial sums of one chain, since those
+// would change the summation order.
 //
 // All run lengths in this package are powers of two, so a run of >= 4
 // is always a multiple of 4 and the vector paths need no scalar tail;
@@ -70,6 +73,29 @@ func scalarCScale(re, im []float64, cr, ci float64) {
 		ai := im[i]
 		re[i] = ar*cr - ai*ci
 		im[i] = ar*ci + ai*cr
+	}
+}
+
+// cscaleMove writes src times the complex scalar (cr + ci*i) to dst
+// with cscaleRun's expressions. dst may alias src at or below it: each
+// vector is read before any write lands on it.
+func cscaleMove(dstR, dstI, srcR, srcI []float64, cr, ci float64) {
+	n := len(srcR)
+	if kernelAVX2 && n >= 4 {
+		v := n &^ 3
+		cscaleMoveAVX(&dstR[0], &dstI[0], &srcR[0], &srcI[0], v, cr, ci)
+		if v == n {
+			return
+		}
+		dstR, dstI, srcR, srcI = dstR[v:], dstI[v:], srcR[v:], srcI[v:]
+	}
+	srcI = srcI[:len(srcR)]
+	dstR = dstR[:len(srcR)]
+	dstI = dstI[:len(srcR)]
+	for i, ar := range srcR {
+		ai := srcI[i]
+		dstR[i] = ar*cr - ai*ci
+		dstI[i] = ar*ci + ai*cr
 	}
 }
 

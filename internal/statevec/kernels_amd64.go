@@ -27,6 +27,9 @@ func mul1QAVX(loR, loI, hiR, hiI *float64, n int, m *[8]float64)
 func cscaleAVX(re, im *float64, n int, cr, ci float64)
 
 //go:noescape
+func cscaleMoveAVX(dstR, dstI, srcR, srcI *float64, n int, cr, ci float64)
+
+//go:noescape
 func cscalePatAVX(re, im *float64, n int, cr, ci *[4]float64)
 
 //go:noescape
@@ -52,3 +55,12 @@ func antiPairsAVX(re, im *float64, n int, c *[4]float64)
 
 //go:noescape
 func antiGap2AVX(re, im *float64, n int, c *[4]float64)
+
+//go:noescape
+func popsAVX1(pa *popArgs)
+
+//go:noescape
+func popsAVX2(pa *popArgs)
+
+//go:noescape
+func popsAVX4(pa *popArgs)

@@ -198,6 +198,42 @@ csdone:
 	VZEROUPPER
 	RET
 
+// func cscaleMoveAVX(dstR, dstI, srcR, srcI *float64, n int, cr, ci float64)
+// cscaleAVX from a source run into a destination run at or below it;
+// n is a multiple of 4.
+TEXT ·cscaleMoveAVX(SB), NOSPLIT, $0-56
+	MOVQ dstR+0(FP), DI
+	MOVQ dstI+8(FP), SI
+	MOVQ srcR+16(FP), DX
+	MOVQ srcI+24(FP), CX
+	MOVQ n+32(FP), AX
+	VBROADCASTSD cr+40(FP), Y8
+	VBROADCASTSD ci+48(FP), Y9
+	XORQ R8, R8
+cmloop:
+	CMPQ R8, AX
+	JGE  cmdone
+	VMOVUPD (DX)(R8*8), Y0
+	VMOVUPD (CX)(R8*8), Y1
+
+	// re' = ar*cr - ai*ci
+	VMULPD Y0, Y8, Y2
+	VMULPD Y1, Y9, Y3
+	VSUBPD Y3, Y2, Y2
+	VMOVUPD Y2, (DI)(R8*8)
+
+	// im' = ar*ci + ai*cr
+	VMULPD Y0, Y9, Y2
+	VMULPD Y1, Y8, Y3
+	VADDPD Y3, Y2, Y2
+	VMOVUPD Y2, (SI)(R8*8)
+
+	ADDQ $4, R8
+	JMP  cmloop
+cmdone:
+	VZEROUPPER
+	RET
+
 // func cscalePatAVX(re, im *float64, n int, cr, ci *[4]float64)
 // Complex multiply by a 4-lane coefficient pattern (period 2 or 4);
 // n is a multiple of 4 so lane k always sees pattern index k.
@@ -649,5 +685,312 @@ adgloop:
 	ADDQ $8, R8
 	JMP  adgloop
 adgdone:
+	VZEROUPPER
+	RET
+
+// Fused population passes (diag.go). The operand block is a popArgs;
+// its field offsets:
+#define PA_RE 0
+#define PA_IM 8
+#define PA_OFF 16
+#define PA_TAB 48
+#define PA_HB0 176
+#define PA_HB1 184
+#define PA_NU 240
+#define PA_N 248
+#define PA_RUN 256
+#define PA_PBM1 264
+#define PA_NPBM1 272
+#define PA_MODE 280
+#define PA_SEL 288
+#define PA_ACC 320
+#define PA_ACCB 352
+// tab[s][u] sits at PA_TAB + 32*s + 8*u.
+//
+// Register use: AX the block, CX the walk index j of the run start, DX
+// the walk's end, SI/DI the re/im storage, R9-R12 the streams' current
+// amplitude indices, R13 stream 0's index at the run's end, BX the
+// update counter, R14 the update's selected row offset, R8 a stream's
+// row pointer, Y12/Y13 the chain sums A/B, Y14/Y15 a coefficient's
+// real/imaginary parts, Y8-Y11 temporaries. At a run's start R8 is m
+// and R11, R12 and R14 are scratch.
+
+// PRUNSTART sets R8 = m, the stream index of walk index j: j itself for
+// whole-lane streams (pbm1 all ones), or j spread around the population
+// bit for half streams, so half streams walk one half of every block.
+// Then it selects every update's row for the run, storing each row's
+// byte offset in sel: 64 when m has the update's high b0 set, plus 128
+// when it has its high b1 set.
+#define PRUNSTART(L0, L1) \
+	MOVQ CX, R8 \
+	ANDQ PA_NPBM1(AX), R8 \
+	SHLQ $1, R8 \
+	MOVQ CX, R12 \
+	ANDQ PA_PBM1(AX), R12 \
+	ORQ  R12, R8 \
+	XORQ BX, BX \
+L0: \
+	CMPQ BX, PA_NU(AX) \
+	JGE  L1 \
+	MOVQ BX, R14 \
+	SHLQ $4, R14 \
+	MOVQ PA_HB0(AX)(R14*1), R12 \
+	ANDQ R8, R12 \
+	NEGQ R12 \
+	SBBQ R12, R12 \
+	ANDQ $64, R12 \
+	MOVQ PA_HB1(AX)(R14*1), R11 \
+	ANDQ R8, R11 \
+	NEGQ R11 \
+	SBBQ R11, R11 \
+	ANDQ $128, R11 \
+	ORQ  R12, R11 \
+	MOVQ R11, PA_SEL(AX)(BX*8) \
+	INCQ BX \
+	JMP  L0 \
+L1:
+
+// PSTREAM sets a stream's amplitude index register to off + m.
+#define PSTREAM(OFF, IDX) \
+	MOVQ OFF(AX), IDX \
+	ADDQ R8, IDX
+
+// PLOAD / PSTORE move a stream's vector at its current index.
+#define PLOAD(IDX, YR, YI) \
+	VMOVUPD (SI)(IDX*8), YR \
+	VMOVUPD (DI)(IDX*8), YI
+
+#define PSTORE(IDX, YR, YI) \
+	VMOVUPD YR, (SI)(IDX*8) \
+	VMOVUPD YI, (DI)(IDX*8)
+
+// PCMUL multiplies a stream's vector by its coefficients in update
+// BX's selected row (TO: the stream's tab offset in the block) with
+// cscaleRun's expressions: re' = ar*cr - ai*ci, im' = ar*ci + ai*cr.
+#define PCMUL(TO, YR, YI) \
+	MOVQ TO(AX)(BX*8), R8 \
+	VMOVUPD (R8)(R14*1), Y14 \
+	VMOVUPD 32(R8)(R14*1), Y15 \
+	VMULPD Y14, YR, Y8 \
+	VMULPD Y15, YI, Y9 \
+	VSUBPD Y9, Y8, Y8 \
+	VMULPD Y15, YR, Y9 \
+	VMULPD Y14, YI, Y10 \
+	VADDPD Y10, Y9, YI \
+	VMOVAPD Y8, YR
+
+// PROW loads update BX's selected row offset into R14.
+#define PROW \
+	MOVQ PA_SEL(AX)(BX*8), R14
+
+// PSQ leaves ar*ar + ai*ai in YR.
+#define PSQ(YR, YI) \
+	VMULPD YR, YR, YR \
+	VMULPD YI, YI, YI \
+	VADDPD YI, YR, YR
+
+// PACC adds the transposed squares C0-C3 (one vector per position in
+// the 4-amplitude vector, each holding every stream's square) to the
+// chains by mode: all to A, A B A B, or A A B B.
+#define PACC(C0, C1, C2, C3, A, B, L0, L1, L2) \
+	CMPQ PA_MODE(AX), $1 \
+	JEQ  L1 \
+	JGT  L2 \
+	VADDPD C0, A, A \
+	VADDPD C1, A, A \
+	VADDPD C2, A, A \
+	VADDPD C3, A, A \
+	JMP  L0 \
+L1: \
+	VADDPD C0, A, A \
+	VADDPD C1, B, B \
+	VADDPD C2, A, A \
+	VADDPD C3, B, B \
+	JMP  L0 \
+L2: \
+	VADDPD C0, A, A \
+	VADDPD C1, A, A \
+	VADDPD C2, B, B \
+	VADDPD C3, B, B \
+L0:
+
+// PPROLOGUE loads the storage pointers from the block in AX and clears
+// the chains.
+#define PPROLOGUE \
+	MOVQ PA_RE(AX), SI \
+	MOVQ PA_IM(AX), DI \
+	MOVQ PA_N(AX), DX \
+	VXORPD Y12, Y12, Y12 \
+	VXORPD Y13, Y13, Y13 \
+	XORQ CX, CX
+
+// func popsAVX1(pa *popArgs)
+// One stream. Its chains live in X12: element 0 is A, element 1 is B.
+TEXT ·popsAVX1(SB), NOSPLIT, $0-8
+	MOVQ pa+0(FP), AX
+	PPROLOGUE
+p1run:
+	CMPQ CX, DX
+	JGE  p1done
+	PRUNSTART(p1sel, p1seld)
+	PSTREAM(PA_OFF, R9)
+	MOVQ R9, R13
+	ADDQ PA_RUN(AX), R13
+p1loop:
+	PLOAD(R9, Y0, Y1)
+	CMPQ PA_NU(AX), $0
+	JEQ  p1sq
+	XORQ BX, BX
+p1upd:
+	PROW
+	PCMUL(PA_TAB, Y0, Y1)
+	INCQ BX
+	CMPQ BX, PA_NU(AX)
+	JLT  p1upd
+	PSTORE(R9, Y0, Y1)
+p1sq:
+	PSQ(Y0, Y1)
+	VEXTRACTF128 $1, Y0, X1 // [s2 s3]; X0 = [s0 s1]
+	CMPQ PA_MODE(AX), $1
+	JEQ  p1m1
+	JGT  p1m2
+	VADDSD X0, X12, X12
+	VPERMILPD $1, X0, X0
+	VADDSD X0, X12, X12
+	VADDSD X1, X12, X12
+	VPERMILPD $1, X1, X1
+	VADDSD X1, X12, X12
+	JMP  p1next
+p1m1:
+	VADDPD X0, X12, X12
+	VADDPD X1, X12, X12
+	JMP  p1next
+p1m2:
+	VUNPCKLPD X1, X0, X2 // [s0 s2]
+	VUNPCKHPD X1, X0, X3 // [s1 s3]
+	VADDPD X2, X12, X12
+	VADDPD X3, X12, X12
+p1next:
+	ADDQ $4, R9
+	CMPQ R9, R13
+	JLT  p1loop
+	ADDQ PA_RUN(AX), CX
+	JMP  p1run
+p1done:
+	VMOVSD X12, PA_ACC(AX)
+	VPERMILPD $1, X12, X12
+	VMOVSD X12, PA_ACCB(AX)
+	VZEROUPPER
+	RET
+
+// func popsAVX2(pa *popArgs)
+// Two streams; stream s's chains are element s of X12 (A) and X13 (B).
+TEXT ·popsAVX2(SB), NOSPLIT, $0-8
+	MOVQ pa+0(FP), AX
+	PPROLOGUE
+p2run:
+	CMPQ CX, DX
+	JGE  p2done
+	PRUNSTART(p2sel, p2seld)
+	PSTREAM(PA_OFF, R9)
+	PSTREAM((PA_OFF+8), R10)
+	MOVQ R9, R13
+	ADDQ PA_RUN(AX), R13
+p2loop:
+	PLOAD(R9, Y0, Y1)
+	PLOAD(R10, Y2, Y3)
+	CMPQ PA_NU(AX), $0
+	JEQ  p2sq
+	XORQ BX, BX
+p2upd:
+	PROW
+	PCMUL(PA_TAB, Y0, Y1)
+	PCMUL((PA_TAB+32), Y2, Y3)
+	INCQ BX
+	CMPQ BX, PA_NU(AX)
+	JLT  p2upd
+	PSTORE(R9, Y0, Y1)
+	PSTORE(R10, Y2, Y3)
+p2sq:
+	PSQ(Y0, Y1)
+	PSQ(Y2, Y3)
+	VUNPCKLPD Y2, Y0, Y8 // [a0 b0 a2 b2]
+	VUNPCKHPD Y2, Y0, Y9 // [a1 b1 a3 b3]
+	VEXTRACTF128 $1, Y8, X10
+	VEXTRACTF128 $1, Y9, X11
+	PACC(X8, X9, X10, X11, X12, X13, p2next, p2m1, p2m2)
+	ADDQ $4, R9
+	ADDQ $4, R10
+	CMPQ R9, R13
+	JLT  p2loop
+	ADDQ PA_RUN(AX), CX
+	JMP  p2run
+p2done:
+	VMOVUPD X12, PA_ACC(AX)
+	VMOVUPD X13, PA_ACCB(AX)
+	VZEROUPPER
+	RET
+
+// func popsAVX4(pa *popArgs)
+// Four streams; stream s's chains are element s of Y12 (A) and Y13 (B).
+TEXT ·popsAVX4(SB), NOSPLIT, $0-8
+	MOVQ pa+0(FP), AX
+	PPROLOGUE
+p4run:
+	CMPQ CX, DX
+	JGE  p4done
+	PRUNSTART(p4sel, p4seld)
+	PSTREAM(PA_OFF, R9)
+	PSTREAM((PA_OFF+8), R10)
+	PSTREAM((PA_OFF+16), R11)
+	PSTREAM((PA_OFF+24), R12)
+	MOVQ R9, R13
+	ADDQ PA_RUN(AX), R13
+p4loop:
+	PLOAD(R9, Y0, Y1)
+	PLOAD(R10, Y2, Y3)
+	PLOAD(R11, Y4, Y5)
+	PLOAD(R12, Y6, Y7)
+	CMPQ PA_NU(AX), $0
+	JEQ  p4sq
+	XORQ BX, BX
+p4upd:
+	PROW
+	PCMUL(PA_TAB, Y0, Y1)
+	PCMUL((PA_TAB+32), Y2, Y3)
+	PCMUL((PA_TAB+64), Y4, Y5)
+	PCMUL((PA_TAB+96), Y6, Y7)
+	INCQ BX
+	CMPQ BX, PA_NU(AX)
+	JLT  p4upd
+	PSTORE(R9, Y0, Y1)
+	PSTORE(R10, Y2, Y3)
+	PSTORE(R11, Y4, Y5)
+	PSTORE(R12, Y6, Y7)
+p4sq:
+	PSQ(Y0, Y1)
+	PSQ(Y2, Y3)
+	PSQ(Y4, Y5)
+	PSQ(Y6, Y7)
+	VUNPCKLPD Y2, Y0, Y8  // [a0 b0 a2 b2]
+	VUNPCKHPD Y2, Y0, Y9  // [a1 b1 a3 b3]
+	VUNPCKLPD Y6, Y4, Y10 // [c0 d0 c2 d2]
+	VUNPCKHPD Y6, Y4, Y11 // [c1 d1 c3 d3]
+	VPERM2F128 $0x20, Y10, Y8, Y1 // C0 = [a0 b0 c0 d0]
+	VPERM2F128 $0x20, Y11, Y9, Y3 // C1
+	VPERM2F128 $0x31, Y10, Y8, Y5 // C2
+	VPERM2F128 $0x31, Y11, Y9, Y7 // C3
+	PACC(Y1, Y3, Y5, Y7, Y12, Y13, p4next, p4m1, p4m2)
+	ADDQ $4, R9
+	ADDQ $4, R10
+	ADDQ $4, R11
+	ADDQ $4, R12
+	CMPQ R9, R13
+	JLT  p4loop
+	ADDQ PA_RUN(AX), CX
+	JMP  p4run
+p4done:
+	VMOVUPD Y12, PA_ACC(AX)
+	VMOVUPD Y13, PA_ACCB(AX)
 	VZEROUPPER
 	RET

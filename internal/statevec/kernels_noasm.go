@@ -25,6 +25,10 @@ func cscaleAVX(re, im *float64, n int, cr, ci float64) {
 	panic("statevec: AVX2 kernel on scalar-only build")
 }
 
+func cscaleMoveAVX(dstR, dstI, srcR, srcI *float64, n int, cr, ci float64) {
+	panic("statevec: AVX2 kernel on scalar-only build")
+}
+
 func cscalePatAVX(re, im *float64, n int, cr, ci *[4]float64) {
 	panic("statevec: AVX2 kernel on scalar-only build")
 }
@@ -58,5 +62,17 @@ func antiPairsAVX(re, im *float64, n int, c *[4]float64) {
 }
 
 func antiGap2AVX(re, im *float64, n int, c *[4]float64) {
+	panic("statevec: AVX2 kernel on scalar-only build")
+}
+
+func popsAVX1(pa *popArgs) {
+	panic("statevec: AVX2 kernel on scalar-only build")
+}
+
+func popsAVX2(pa *popArgs) {
+	panic("statevec: AVX2 kernel on scalar-only build")
+}
+
+func popsAVX4(pa *popArgs) {
 	panic("statevec: AVX2 kernel on scalar-only build")
 }

@@ -150,8 +150,10 @@ echo "== trajectory engine determinism (DESIGN.md §10) =="
 # circuits whose qubits meet crosstalk, idle damping, diagonal gates or a
 # measurement before they enter the register. ParallelMatchesSerial
 # runs every trial loop at widths 1, 2 and 4 inside each pass.
-GOMAXPROCS=1 go test -race -count=1 -run 'PrefixEngine|PrefixDrawOrder|PrefixPlan|TerminalDrop|LazyEntry|ParallelMatchesSerial' ./internal/backend
-go test -race -count=1 -run 'PrefixEngine|PrefixDrawOrder|PrefixPlan|TerminalDrop|LazyEntry|ParallelMatchesSerial' ./internal/backend
+# DrawOperands compares every operand a replayed draw compares against
+# with the legacy loop's, bit for bit (DESIGN.md §10, pending updates).
+GOMAXPROCS=1 go test -race -count=1 -run 'PrefixEngine|PrefixDrawOrder|PrefixPlan|TerminalDrop|LazyEntry|ParallelMatchesSerial|DrawOperands' ./internal/backend
+go test -race -count=1 -run 'PrefixEngine|PrefixDrawOrder|PrefixPlan|TerminalDrop|LazyEntry|ParallelMatchesSerial|DrawOperands' ./internal/backend
 
 echo "== batched replay identity (DESIGN.md §15) =="
 # The batched divergent-suffix scheduler must match the legacy loop byte
@@ -161,14 +163,16 @@ echo "== batched replay identity (DESIGN.md §15) =="
 # shared cursor, under the race detector. TerminalDrop pins batch lanes
 # narrowing together at every terminal measurement, LazyEntry widening
 # together at every entry. ParallelMatchesSerial pins the batched engine
-# at widths 1, 2 and 4 with more replay units than workers.
-GOMAXPROCS=1 go test -race -count=1 -run 'BatchedReplay|MaxLanesFor|TerminalDrop|LazyEntry|ParallelMatchesSerial' ./internal/backend
-go test -race -count=1 -run 'BatchedReplay|MaxLanesFor|TerminalDrop|LazyEntry|ParallelMatchesSerial' ./internal/backend
+# at widths 1, 2 and 4 with more replay units than workers. DrawOperands
+# pins the population passes that serve every group before any draw.
+GOMAXPROCS=1 go test -race -count=1 -run 'BatchedReplay|MaxLanesFor|TerminalDrop|LazyEntry|ParallelMatchesSerial|DrawOperands' ./internal/backend
+go test -race -count=1 -run 'BatchedReplay|MaxLanesFor|TerminalDrop|LazyEntry|ParallelMatchesSerial|DrawOperands' ./internal/backend
 
 echo "== statevec batch kernels: purego path =="
 # The batch kernels' scalar fallbacks must pin the same frozen oracle
 # as the AVX2 path; -tags purego forces them on an amd64 host. The
-# ProjectDrop and Enter tests run here too, on the scalar bodies.
+# ProjectDrop and Enter tests run here too, on the scalar bodies, and so
+# do the fused population-pass tests.
 go test -tags purego -count=1 ./internal/statevec
 
 echo "== replay bench non-regression (committed BENCH_replay.json) =="
@@ -205,7 +209,9 @@ go test -race -count=1 ./internal/stabilizer ./internal/bitset
 
 echo "== statevec kernel bit-identity (SoA + AVX2 vs frozen scalar) =="
 # The SoA kernels must pin every amplitude bit against the frozen
-# complex128 loops on both the scalar and (where available) AVX2 paths.
-go test -count=1 -run 'KernelsBitIdentical' ./internal/statevec
+# complex128 loops on both the scalar and (where available) AVX2 paths,
+# and the fused population passes (pending diagonal updates, several
+# lanes per pass, reused projection norms) against the unfused calls.
+go test -count=1 -run 'KernelsBitIdentical|PopArgsLayout|PopsAfter|ApplyDiags|PopsLanes|CollapseReusesNorm' ./internal/statevec
 
 echo "CI OK"
