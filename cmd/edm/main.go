@@ -233,24 +233,7 @@ func printCacheStats(out *os.File) {
 		"backend/prog", prog.Hits, prog.Misses, prog.Waits, prog.Evictions, prog.Entries)
 	fmt.Fprintf(out, "  %-14s hits %-8d misses %-6d waits %-4d evictions %-4d entries %d\n",
 		"backend/run", run.Hits, run.Misses, run.Waits, run.Evictions, run.Entries)
-	printRecompileStats(out)
 	printEngineStats(out)
-}
-
-// printRecompileStats reports the incremental-recompilation counters
-// (DESIGN.md §11), aggregated across every Tracking compiler in the
-// process. All zeros outside drifting campaigns — the row only appears
-// once a pool upgrade has run.
-func printRecompileStats(out *os.File) {
-	rs := mapper.RecompileStatsSnapshot()
-	if rs.Pools == 0 {
-		return
-	}
-	fmt.Fprintln(out, "incremental recompilation stats:")
-	fmt.Fprintf(out, "  %-14s pools %-8d rebuilds %-6d check-failures %d\n",
-		"recompile", rs.Pools, rs.FullRebuilds, rs.CheckFailed)
-	fmt.Fprintf(out, "  %-14s reused %-7d rescored %-6d rerouted %-4d dropped %d (survival %.1f%%)\n",
-		"candidates", rs.Reused, rs.Rescored, rs.Rerouted, rs.Dropped, 100*rs.Survival())
 }
 
 // printEngineStats reports the trajectory engine counters (DESIGN.md
@@ -290,5 +273,5 @@ var experiments = []exp{
 	{"fig9", "ensemble-size sensitivity (EDM-2/4/6)", printFig9},
 	{"fig11", "EDM and WEDM IST improvement over baseline", printFig11},
 	{"fig13", "buckets-and-balls: IST vs PST, frontiers, experimental scatter", printFig13},
-	{"drift", "drifting campaign: incremental recompilation across calibration windows", printDrift},
+	{"drift", "drifting campaign: drift-tracked pools across calibration windows", printDrift},
 }

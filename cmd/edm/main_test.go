@@ -200,6 +200,21 @@ func TestPrintFig7(t *testing.T) {
 	}
 }
 
+// TestPrintDrift: the drifting campaign takes k from the shared flags
+// and prints a row per cycle.
+func TestPrintDrift(t *testing.T) {
+	s := microSetup()
+	s.Rounds = 2
+	s.K = 2
+	got := capture(t, func() { printDrift(s) })
+	if !strings.Contains(got, "k 2,") {
+		t.Errorf("drift header does not show k 2:\n%s", got)
+	}
+	if !strings.Contains(got, "\n1 ") {
+		t.Errorf("drift output has no cycle-1 row:\n%s", got)
+	}
+}
+
 func TestStartProfilesWritesBothOutputs(t *testing.T) {
 	dir := t.TempDir()
 	cpu := filepath.Join(dir, "cpu.pprof")

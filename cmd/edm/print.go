@@ -191,47 +191,37 @@ func printFig13(s experiment.Setup) {
 }
 
 // printDrift runs the drifting campaign (DESIGN.md §11): one device
-// tracked across calibration windows, compiled incrementally with
-// periodic cross-checks against full recompilation. The campaign scale
-// maps from the shared Setup: seed, rounds (cycles), trials and drift.
+// tracked across calibration windows, its candidate pools upgraded to
+// each window instead of rebuilt. The campaign scale maps from the
+// shared Setup: seed, rounds (cycles), trials, k and drift.
 func printDrift(s experiment.Setup) {
 	ds := experiment.DefaultDriftSetup()
 	ds.Seed = s.Seed
 	ds.Cycles = s.Rounds
 	ds.Trials = s.Trials
+	ds.K = s.K
 	ds.Drift = s.Drift
 	ds.Topo, ds.Profile = s.Topo, s.Profile
-	if ds.Cycles <= ds.CrossCheckEvery {
-		ds.CrossCheckEvery = 2
-	}
 	r := experiment.RunDrifting(ds)
-	fmt.Fprintf(out, "drifting campaign: mode %s, tol %g, %d cycles, workloads %v\n\n",
-		r.Mode, r.Tol, len(r.Rounds), ds.Workloads)
+	fmt.Fprintf(out, "drifting campaign: k %d, %d cycles, workloads %v\n\n",
+		ds.K, len(r.Rounds), ds.Workloads)
 	cells := make([][]string, 0, len(r.Rounds))
 	for _, rd := range r.Rounds {
-		check := "-"
-		if rd.CrossChecked {
-			if rd.PoolsIdentical {
-				check = "identical"
-			} else {
-				check = fmt.Sprintf("esp delta %.1e", rd.MaxESPDelta)
-			}
+		survival := "-" // cycle 0 builds every pool; nothing upgrades
+		if rd.Recompile.Processed() > 0 {
+			survival = report.Pct(rd.Recompile.Survival())
 		}
 		cells = append(cells, []string{
 			strconv.Itoa(rd.Cycle),
-			fmt.Sprintf("%d/%d", rd.Diff.ChangedQubits, rd.Diff.TouchedQubits),
-			fmt.Sprintf("%d/%d", rd.Diff.ChangedEdges, rd.Diff.TouchedEdges),
-			report.Pct(rd.Survival),
-			strconv.FormatUint(rd.Recompile.Reused+rd.Recompile.Rescored, 10),
+			survival,
+			strconv.FormatUint(rd.Recompile.Rescored, 10),
 			strconv.FormatUint(rd.Recompile.Rerouted, 10),
 			strconv.FormatUint(rd.Recompile.FullRebuilds, 10),
 			fmt.Sprintf("%.2f", rd.CompileMs),
-			check,
 		})
 	}
 	report.Table(out, []string{
-		"cycle", "qubits tol/any", "edges tol/any", "survival",
-		"kept", "rerouted", "rebuilds", "compile ms", "cross-check",
+		"cycle", "survival", "kept", "rerouted", "rebuilds", "compile ms",
 	}, cells)
 	fmt.Fprintf(out, "\ncompile wall time: %.2f ms total, %.2f ms steady state (cycles >= 1)\n",
 		r.CompileMsTotal, r.CompileMsSteady)

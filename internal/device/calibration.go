@@ -403,9 +403,8 @@ func (c *Calibration) Drift(f float64, r *rng.RNG) *Calibration {
 // pseudo-randomly from the RNG) drift strongly with relative scale
 // `scale` using the same update shapes and clamps as Drift; every other
 // element receives only a device-wide wobble of relative scale `jitter`.
-// jitter = 0 leaves unhit elements bit-identical, which is what gives
-// incremental recompilation (DESIGN.md §11) a sparse CalDiff to exploit;
-// a small positive jitter exercises the tolerance ladder instead.
+// jitter = 0 leaves unhit elements bit-identical; any positive jitter
+// moves every qubit and link.
 func (c *Calibration) DriftLocal(hitQ, hitE int, scale, jitter float64, r *rng.RNG) *Calibration {
 	out := c.Clone()
 	n := len(out.SQErr)

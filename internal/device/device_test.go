@@ -210,6 +210,65 @@ func TestDrift(t *testing.T) {
 	}
 }
 
+// driftMoved counts the qubits and links whose calibration fields
+// differ between a and b in any bit.
+func driftMoved(a, b *Calibration) (qubits, edges int) {
+	for q := range a.SQErr {
+		for _, f := range [...][2]float64{
+			{a.SQErr[q], b.SQErr[q]}, {a.Meas01[q], b.Meas01[q]},
+			{a.Meas10[q], b.Meas10[q]}, {a.T1us[q], b.T1us[q]},
+			{a.T2us[q], b.T2us[q]}, {a.CohY[q], b.CohY[q]},
+			{a.CohZ[q], b.CohZ[q]},
+		} {
+			if math.Float64bits(f[0]) != math.Float64bits(f[1]) {
+				qubits++
+				break
+			}
+		}
+	}
+	for _, e := range a.Topo.Edges() {
+		if math.Float64bits(a.CXErr[e]) != math.Float64bits(b.CXErr[e]) ||
+			math.Float64bits(a.CXCohZZ[e]) != math.Float64bits(b.CXCohZZ[e]) ||
+			math.Float64bits(a.CrossZZ[e]) != math.Float64bits(b.CrossZZ[e]) {
+			edges++
+		}
+	}
+	return qubits, edges
+}
+
+func TestDriftLocalSparseAndDeterministic(t *testing.T) {
+	cal := Generate(Melbourne(), MelbourneProfile(), rng.New(7))
+	a := cal.DriftLocal(2, 3, 0.4, 0, rng.New(11))
+	b := cal.DriftLocal(2, 3, 0.4, 0, rng.New(11))
+	if a.Fingerprint() != b.Fingerprint() {
+		t.Fatalf("DriftLocal not deterministic in the seed")
+	}
+	if c := cal.DriftLocal(2, 3, 0.4, 0, rng.New(12)); c.Fingerprint() == a.Fingerprint() {
+		t.Fatalf("DriftLocal ignores the seed")
+	}
+	// With jitter 0 exactly the hit elements move; everything else stays
+	// bit-identical.
+	if q, e := driftMoved(cal, a); q != 2 || e != 3 {
+		t.Fatalf("moved %d qubits and %d links, want 2 and 3", q, e)
+	}
+	if err := a.Validate(); err != nil {
+		t.Fatalf("drifted calibration invalid: %v", err)
+	}
+}
+
+// TestDriftLocalJitterMovesEveryElement: at the drifting campaign's
+// scale (2 qubits and 2 links hit by 4%, jitter 2e-4) every qubit and
+// every link moves, so no pool candidate's footprint is left
+// bit-identical between windows and every one must be re-scored.
+func TestDriftLocalJitterMovesEveryElement(t *testing.T) {
+	cal := Generate(Melbourne(), MelbourneProfile(), rng.New(7))
+	a := cal.DriftLocal(2, 2, 0.04, 2e-4, rng.New(3))
+	if q, e := driftMoved(cal, a); q != cal.Topo.Qubits || e != len(cal.Topo.Edges()) {
+		t.Fatalf("moved %d/%d qubits and %d/%d links; jitter should move them all",
+			q, cal.Topo.Qubits, e, len(cal.Topo.Edges()))
+	}
+}
+
 func TestCloneIndependent(t *testing.T) {
 	cal := Generate(Melbourne(), MelbourneProfile(), rng.New(9))
 	c := cal.Clone()

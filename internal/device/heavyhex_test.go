@@ -130,16 +130,3 @@ func TestByName(t *testing.T) {
 		t.Fatal("ByName(bogus) succeeded")
 	}
 }
-
-// TestDiffTooWideGoesGlobal: a device wider than the inline diff masks
-// must produce a Global (full-invalidation) diff, never a truncated one.
-func TestDiffTooWideGoesGlobal(t *testing.T) {
-	topo := Linear(200)
-	cal := Generate(topo, MelbourneProfile(), rng.New(8))
-	mod := cal.Clone()
-	mod.SQErr[199] *= 2
-	d := Diff(cal, mod, 1e-3)
-	if !d.Global || !d.Full() {
-		t.Fatalf("diff on 200-qubit device not Global: %+v", d.Stats)
-	}
-}

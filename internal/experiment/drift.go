@@ -18,44 +18,22 @@ import (
 
 // The drifting campaign models the deployment the paper's Section 5.3
 // motivates but the round-based protocol sidesteps: one machine tracked
-// through successive calibration windows, where each window moves only a
-// few qubits and links appreciably (the rest jitter within measurement
-// noise). Instead of recompiling every workload from scratch each window
-// — today's cost — the campaign threads the sequence of calibrations
-// through mapper.Tracking, which diffs consecutive windows and upgrades
-// cached candidate pools incrementally (DESIGN.md §11). A cross-check
-// mode periodically runs the full recompilation alongside and asserts
-// the incremental pool identical (checked mode) or reports the
-// routed-ESP delta (fast mode).
+// through successive calibration windows, where each window moves a few
+// qubits and links appreciably and jitters the rest. Instead of
+// recompiling every workload from scratch each window, the campaign
+// threads the sequence of calibrations through mapper.Tracking, which
+// upgrades the cached candidate pools to each new window (DESIGN.md §11)
+// with results bit-identical to a from-scratch compile.
 
-// DriftMode selects the recompilation strategy of a drifting campaign.
-type DriftMode int
-
+// Per-window drift: hitQubits qubits and hitEdges links move by a
+// relative scale of driftScale; every other element jitters by
+// driftJitter (device.Calibration.DriftLocal).
 const (
-	// DriftIncremental tracks the device with RecompileChecked: dry-run
-	// re-route checks keep results bit-identical to full recompilation.
-	DriftIncremental DriftMode = iota
-	// DriftIncrementalFast tracks with RecompileFast: footprint-trusted,
-	// approximate, fastest.
-	DriftIncrementalFast
-	// DriftFull recompiles every workload from scratch each cycle —
-	// today's cost structure, the baseline the speedup is measured
-	// against.
-	DriftFull
+	hitQubits   = 2
+	hitEdges    = 2
+	driftScale  = 0.04
+	driftJitter = 2e-4
 )
-
-func (m DriftMode) String() string {
-	switch m {
-	case DriftIncremental:
-		return "incremental"
-	case DriftIncrementalFast:
-		return "incremental-fast"
-	case DriftFull:
-		return "full"
-	default:
-		return fmt.Sprintf("mode(%d)", int(m))
-	}
-}
 
 // DriftSetup fixes the scale and randomness of a drifting campaign.
 type DriftSetup struct {
@@ -64,16 +42,6 @@ type DriftSetup struct {
 	Trials int
 	K      int
 
-	// Tol is the relative-change tolerance fed to the calibration diff;
-	// 0 degenerates to full invalidation on any bit of change.
-	Tol float64
-	// HitQubits/HitEdges is how many qubits and links drift appreciably
-	// (by Scale) per window; everything else jitters by Jitter.
-	HitQubits int
-	HitEdges  int
-	Scale     float64
-	Jitter    float64
-
 	// Drift scales the within-window runtime wander, as in Setup.
 	Drift float64
 
@@ -81,33 +49,20 @@ type DriftSetup struct {
 	Profile device.Profile
 	// Workloads names the circuits tracked across the campaign.
 	Workloads []string
-
-	Mode DriftMode
-	// CrossCheckEvery > 0 runs the incremental-vs-full cross-check on
-	// every CrossCheckEvery-th cycle (cycle 0 excluded: nothing has been
-	// upgraded yet). Ignored in DriftFull mode.
-	CrossCheckEvery int
 }
 
 // DefaultDriftSetup returns the paper-scale drifting campaign on the
 // Figure 13 workload set.
 func DefaultDriftSetup() DriftSetup {
 	return DriftSetup{
-		Seed:            2019,
-		Cycles:          10,
-		Trials:          4096,
-		K:               4,
-		Tol:             1e-3,
-		HitQubits:       2,
-		HitEdges:        2,
-		Scale:           0.04,
-		Jitter:          2e-4,
-		Drift:           0.2,
-		Topo:            device.Melbourne(),
-		Profile:         device.MelbourneProfile(),
-		Workloads:       []string{"qaoa-6", "bv-6", "greycode-6"},
-		Mode:            DriftIncremental,
-		CrossCheckEvery: 5,
+		Seed:      2019,
+		Cycles:    10,
+		Trials:    4096,
+		K:         4,
+		Drift:     0.2,
+		Topo:      device.Melbourne(),
+		Profile:   device.MelbourneProfile(),
+		Workloads: []string{"qaoa-6", "bv-6", "greycode-6"},
 	}
 }
 
@@ -117,7 +72,6 @@ func QuickDriftSetup() DriftSetup {
 	s := DefaultDriftSetup()
 	s.Cycles = 5
 	s.Trials = 1024
-	s.CrossCheckEvery = 2
 	return s
 }
 
@@ -129,42 +83,29 @@ type DriftCell struct {
 	EDMPST      float64
 	EDMIST      float64
 	// CountsKey fingerprints the baseline and ensemble output
-	// distributions bit-for-bit; identical keys across modes prove the
-	// campaigns executed identical circuits.
+	// distributions bit-for-bit; identical keys between the tracked and
+	// the from-scratch campaign prove both executed identical circuits.
 	CountsKey uint64
 }
 
 // DriftRound is one calibration window of the campaign.
 type DriftRound struct {
 	Cycle int
-	// Diff summarizes the calibration change from the previous window
-	// (zero value on cycle 0).
-	Diff device.DiffStats
-	// Recompile is this window's incremental-recompilation counter delta
-	// (zero value in DriftFull mode).
+	// Recompile is this window's pool-upgrade counter delta (zero value
+	// when every window compiles from scratch).
 	Recompile mapper.RecompileStats
-	// Survival is the fraction of cached candidates that kept their
-	// structure this window.
-	Survival float64
 	// CompileMs is the wall time of the window's compile phase (every
-	// workload, k = 1 and k = K).
+	// workload at k = K).
 	CompileMs float64
 	Cells     []DriftCell
-	// CrossChecked reports that this window ran the incremental-vs-full
-	// comparison; PoolsIdentical and MaxESPDelta hold its verdict.
-	CrossChecked   bool
-	PoolsIdentical bool
-	MaxESPDelta    float64
 }
 
 // DriftResult is the outcome of a drifting campaign.
 type DriftResult struct {
-	Mode   DriftMode
-	Tol    float64
 	Rounds []DriftRound
 	// CompileMsTotal sums every window's compile phase; CompileMsSteady
 	// excludes the cold cycle 0, isolating the per-window recompilation
-	// cost the incremental path optimizes.
+	// cost the tracked pools cut.
 	CompileMsTotal  float64
 	CompileMsSteady float64
 	// Stats is the campaign's aggregate recompilation counters.
@@ -182,12 +123,18 @@ func distKey(h uint64, d *dist.Dist) uint64 {
 	return h
 }
 
-// RunDrifting executes a drifting campaign. Every RNG stream is derived
-// from the seed, the cycle index and the workload name only — never from
-// the mode — so the run phase of two campaigns that compiled identical
-// circuits produces bit-identical cells, which is what makes the
-// incremental-vs-full identity checkable end to end.
-func RunDrifting(s DriftSetup) DriftResult {
+// RunDrifting executes a drifting campaign, compiling through
+// drift-tracked pools.
+func RunDrifting(s DriftSetup) DriftResult { return runDrifting(s, true) }
+
+// runDrifting executes a drifting campaign. With tracked false every
+// window compiles from scratch on its own compiler: the reference the
+// tracked pools are checked and timed against. Every RNG stream is
+// derived from the seed, the cycle index and the workload name only, so
+// the run phase of two campaigns that compiled identical circuits
+// produces bit-identical cells, which is what makes the tracked
+// campaign checkable against the reference end to end.
+func runDrifting(s DriftSetup, tracked bool) DriftResult {
 	ws := make([]workloads.Workload, len(s.Workloads))
 	for i, name := range s.Workloads {
 		w, ok := workloads.ByName(name)
@@ -202,12 +149,9 @@ func RunDrifting(s DriftSetup) DriftResult {
 
 	var tr *mapper.Tracking
 	var comp *mapper.Compiler
-	switch s.Mode {
-	case DriftIncremental:
-		tr = mapper.NewTracking(cal, mapper.RecompileChecked)
-	case DriftIncrementalFast:
-		tr = mapper.NewTracking(cal, mapper.RecompileFast)
-	default:
+	if tracked {
+		tr = mapper.NewTracking(cal)
+	} else {
 		comp = mapper.CachedCompiler(cal)
 	}
 	topK := func(c *circuit.Circuit, k int) ([]*mapper.Executable, error) {
@@ -217,28 +161,27 @@ func RunDrifting(s DriftSetup) DriftResult {
 		return comp.TopK(c, k)
 	}
 
-	out := DriftResult{Mode: s.Mode, Tol: s.Tol, Rounds: make([]DriftRound, 0, s.Cycles)}
+	out := DriftResult{Rounds: make([]DriftRound, 0, s.Cycles)}
 	var prevStats mapper.RecompileStats
 	for cycle := 0; cycle < s.Cycles; cycle++ {
 		round := DriftRound{Cycle: cycle}
 		if cycle > 0 {
-			next := cal.DriftLocal(s.HitQubits, s.HitEdges, s.Scale, s.Jitter, root.DeriveN("cycle", cycle))
+			cal = cal.DriftLocal(hitQubits, hitEdges, driftScale, driftJitter, root.DeriveN("cycle", cycle))
 			if tr != nil {
-				round.Diff = tr.Advance(next, s.Tol).Stats
+				tr.Advance(cal)
 			} else {
-				round.Diff = cal.DiffStats(next, s.Tol)
-				comp = mapper.CachedCompiler(next)
+				comp = mapper.CachedCompiler(cal)
 			}
-			cal = next
 		}
 		mach := backend.New(cal.Drift(s.Drift, root.DeriveN("runtime", cycle)))
 
-		// Compile phase, timed: this is the per-window cost the
-		// incremental path attacks. The baseline mapping is ensemble
-		// member 0 — selectDiverse always seats the pool head there
-		// (pinned by TestTopKPrefixStability), so both modes obtain it
-		// from the same pool-ranked path and the comparison measures pool
-		// construction, not the separate k = 1 branch-and-bound.
+		// Compile phase, timed: this is the per-window cost the tracked
+		// pools cut. The baseline mapping is ensemble member 0 —
+		// selectDiverse always seats the pool head there (pinned by
+		// TestTopKPrefixStability), so the tracked and the from-scratch
+		// campaign obtain it from the same pool-ranked path and the
+		// comparison measures pool construction, not the separate k = 1
+		// branch-and-bound.
 		// Workloads compile one after another: the pool pipeline is
 		// internally parallel already, and racing three compiles against
 		// each other only adds contention noise to the timing this
@@ -262,20 +205,6 @@ func RunDrifting(s DriftSetup) DriftResult {
 			cur := tr.Stats()
 			round.Recompile = cur.Sub(prevStats)
 			prevStats = cur
-		}
-		round.Survival = round.Recompile.Survival()
-
-		if tr != nil && s.CrossCheckEvery > 0 && cycle > 0 && cycle%s.CrossCheckEvery == 0 {
-			round.CrossChecked = true
-			round.PoolsIdentical = true
-			for _, w := range ws {
-				identical, delta, err := tr.CrossCheck(w.Circuit)
-				if err != nil {
-					panic(err)
-				}
-				round.PoolsIdentical = round.PoolsIdentical && identical
-				round.MaxESPDelta = math.Max(round.MaxESPDelta, delta)
-			}
 		}
 
 		// Run phase: streams derive from (seed, cycle, workload) only.

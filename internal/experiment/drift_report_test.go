@@ -10,19 +10,18 @@ import (
 )
 
 // TestDriftBenchReport regenerates BENCH_drift.json: the drifting
-// campaign (DefaultDriftSetup, Figure 13 workload set) compiled
-// incrementally (DESIGN.md §11) against full per-cycle recompilation, at
-// tolerances 0, 1e-3 and 1e-2. It is the engine behind
-// scripts/bench_drift.sh and skips unless EDM_BENCH_DRIFT_OUT names the
-// output file.
+// campaign (DefaultDriftSetup, Figure 13 workload set) compiled through
+// drift-tracked pools (DESIGN.md §11) against compiling every window
+// from scratch. It is the engine behind scripts/bench_drift.sh and skips
+// unless EDM_BENCH_DRIFT_OUT names the output file.
 //
 // Acceptance bars recorded in the report:
-//   - the checked incremental campaign's steady-state compile time
-//     (cycles >= 1; cycle 0 is the cold build both modes pay) is >= 2x
-//     faster than full recompilation at tol = 1e-3;
+//   - the tracked campaign's steady-state compile time (cycles >= 1;
+//     cycle 0 is the cold build both campaigns pay) is >= 2x faster
+//     than compiling from scratch;
 //   - cells (PSTs, ISTs, output-distribution fingerprints) are
-//     bit-identical between the two modes at every tolerance;
-//   - per-round pool survival is reported for each tolerance.
+//     bit-identical between the two campaigns;
+//   - per-round pool survival is reported.
 func TestDriftBenchReport(t *testing.T) {
 	out := os.Getenv("EDM_BENCH_DRIFT_OUT")
 	if out == "" {
@@ -30,99 +29,43 @@ func TestDriftBenchReport(t *testing.T) {
 	}
 
 	s := DefaultDriftSetup()
-
-	full := s
-	full.Mode = DriftFull
 	ResetCampaignCaches()
-	fullRes := RunDrifting(full)
-	fullCells := cellsOf(fullRes)
-
-	type tolRow struct {
-		Tol            float64   `json:"tol"`
-		SteadyMs       float64   `json:"steady_compile_ms"`
-		TotalMs        float64   `json:"total_compile_ms"`
-		Speedup        string    `json:"steady_speedup_vs_full"`
-		SurvivalPerRnd []float64 `json:"pool_survival_per_round"`
-		CellsIdentical bool      `json:"cells_identical_to_full"`
-		PoolsIdentical bool      `json:"crosscheck_pools_identical"`
-		Stats          any       `json:"recompile_stats"`
-	}
-	var rows []tolRow
-	var speedupAt1e3 float64
-	for _, tol := range []float64{0, 1e-3, 1e-2} {
-		inc := s
-		inc.Tol = tol
-		ResetCampaignCaches()
-		res := RunDrifting(inc)
-
-		identical := reflect.DeepEqual(cellsOf(res), fullCells)
-		if !identical {
-			t.Errorf("tol=%g: incremental cells differ from full recompilation", tol)
-		}
-		poolsOK := true
-		var survival []float64
-		for _, rd := range res.Rounds {
-			if rd.Cycle == 0 {
-				continue
-			}
-			survival = append(survival, rd.Survival)
-			if rd.CrossChecked && !rd.PoolsIdentical {
-				poolsOK = false
-			}
-		}
-		if !poolsOK {
-			t.Errorf("tol=%g: cross-check found a non-identical pool", tol)
-		}
-		sp := fullRes.CompileMsSteady / res.CompileMsSteady
-		if tol == 1e-3 {
-			speedupAt1e3 = sp
-		}
-		rows = append(rows, tolRow{
-			Tol:            tol,
-			SteadyMs:       res.CompileMsSteady,
-			TotalMs:        res.CompileMsTotal,
-			Speedup:        fmt.Sprintf("%.2fx", sp),
-			SurvivalPerRnd: survival,
-			CellsIdentical: identical,
-			PoolsIdentical: poolsOK,
-			Stats:          res.Stats,
-		})
-	}
-	if speedupAt1e3 < 2 {
-		t.Errorf("steady-state speedup %.2fx < 2x acceptance bar at tol=1e-3 (full %.1fms)",
-			speedupAt1e3, fullRes.CompileMsSteady)
-	}
-
-	// The fast mode rides along for context: same campaign at tol = 1e-3
-	// without the re-route checks.
-	fast := s
-	fast.Mode = DriftIncrementalFast
+	full := runDrifting(s, false)
 	ResetCampaignCaches()
-	fastRes := RunDrifting(fast)
-	var fastDelta float64
-	for _, rd := range fastRes.Rounds {
-		if rd.CrossChecked && rd.MaxESPDelta > fastDelta {
-			fastDelta = rd.MaxESPDelta
-		}
+	res := RunDrifting(s)
+
+	identical := reflect.DeepEqual(cellsOf(res), cellsOf(full))
+	if !identical {
+		t.Error("tracked cells differ from compiling every window from scratch")
+	}
+	var survival []float64
+	for _, rd := range res.Rounds[1:] {
+		survival = append(survival, rd.Recompile.Survival())
+	}
+	speedup := full.CompileMsSteady / res.CompileMsSteady
+	if speedup < 2 {
+		t.Errorf("steady-state speedup %.2fx < 2x acceptance bar (from scratch %.1fms)",
+			speedup, full.CompileMsSteady)
 	}
 
 	report := map[string]any{
-		"description": "drifting campaign (DESIGN.md §11): incremental recompilation vs full per-cycle recompilation",
+		"description": "drifting campaign (DESIGN.md §11): drift-tracked pools vs compiling every window from scratch",
 		"setup": map[string]any{
 			"seed": s.Seed, "cycles": s.Cycles, "trials": s.Trials, "k": s.K,
-			"hit_qubits": s.HitQubits, "hit_edges": s.HitEdges,
-			"scale": s.Scale, "jitter": s.Jitter, "drift": s.Drift,
+			"hit_qubits": hitQubits, "hit_edges": hitEdges,
+			"scale": driftScale, "jitter": driftJitter, "drift": s.Drift,
 			"workloads": s.Workloads,
 		},
-		"full_recompile_ms": map[string]float64{
-			"steady": fullRes.CompileMsSteady, "total": fullRes.CompileMsTotal,
+		"from_scratch_compile_ms": map[string]float64{
+			"steady": full.CompileMsSteady, "total": full.CompileMsTotal,
 		},
-		"incremental": rows,
-		"incremental_fast": map[string]any{
-			"tol": fast.Tol, "steady_compile_ms": fastRes.CompileMsSteady,
-			"steady_speedup_vs_full": fmt.Sprintf("%.2fx", fullRes.CompileMsSteady/fastRes.CompileMsSteady),
-			"max_routed_esp_delta":   fastDelta,
-			"recompile_stats":        fastRes.Stats,
+		"tracked": map[string]any{
+			"steady_compile_ms":               res.CompileMsSteady,
+			"total_compile_ms":                res.CompileMsTotal,
+			"steady_speedup_vs_from_scratch":  fmt.Sprintf("%.2fx", speedup),
+			"pool_survival_per_round":         survival,
+			"cells_identical_to_from_scratch": identical,
+			"recompile_stats":                 res.Stats,
 		},
 	}
 	buf, err := json.MarshalIndent(report, "", "  ")
@@ -135,6 +78,6 @@ func TestDriftBenchReport(t *testing.T) {
 	if err := os.WriteFile(out, append(buf, '\n'), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("full steady %.1fms; incremental tol=1e-3 steady %.1fms (%.2fx)",
-		fullRes.CompileMsSteady, rows[1].SteadyMs, speedupAt1e3)
+	t.Logf("from scratch steady %.1fms; tracked steady %.1fms (%.2fx)",
+		full.CompileMsSteady, res.CompileMsSteady, speedup)
 }

@@ -58,9 +58,9 @@ func newEnsembleCache(ctr *memo.Counters) *ensembleCache {
 // overlapping candidates.
 //
 // raw, prog, seed, baseLayout and baseRes retain the build's
-// intermediates for incremental recompilation (recompile.go). raw is the
-// mono candidate list in *enumeration order*, before any sort or dedupe:
-// re-ranking under a new calibration must replay the exact
+// intermediates for the drift-tracked pool upgrade (recompile.go). raw
+// is the mono candidate list in *enumeration order*, before any sort or
+// dedupe: re-ranking under a new calibration must replay the exact
 // sort/split/dedupe pipeline on the full multiset, because dedupeByLayout
 // keeps whichever same-layout candidate ranks first — a choice that can
 // flip when ESPs move — and sortCandidates' stable ties are broken by
@@ -71,7 +71,6 @@ type poolEntry struct {
 	cpool []*candidate
 	err   error
 
-	gen        uint64 // calibration generation (Tracking pools only)
 	raw        []*candidate
 	prog       *routeProg
 	seed       []int // place() output the base routing started from
@@ -79,9 +78,9 @@ type poolEntry struct {
 	baseRes    passResult
 	// groups indexes the immutable skey/lkey structure of raw and order
 	// is this generation's sorted permutation of it; both are computed by
-	// the first incremental upgrade and carried down the lineage so later
-	// upgrades replace the assembly's hash maps with dense passes and
-	// start the sort from a nearly-sorted permutation (recompile.go).
+	// the first upgrade and carried down the lineage so later upgrades
+	// replace the assembly's hash maps with dense passes and start the
+	// sort from a nearly-sorted permutation (recompile.go).
 	groups *poolGroups
 	order  []int32
 

@@ -37,7 +37,7 @@ func TestTopKCtxBitIdenticalToTopK(t *testing.T) {
 		}
 	}
 
-	tr := NewTracking(cal, RecompileChecked)
+	tr := NewTracking(cal)
 	wantTr, err := tr.TopK(w.Circuit, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -73,7 +73,7 @@ func TestTopKCtxCancelled(t *testing.T) {
 		t.Fatalf("post-cancel TopKCtx = %d execs, %v", len(execs), err)
 	}
 
-	tr := NewTracking(cal, RecompileChecked)
+	tr := NewTracking(cal)
 	ctx2, cancel2 := context.WithCancel(context.Background())
 	cancel2()
 	if _, err := tr.TopKCtx(ctx2, w.Circuit, 2); !errors.Is(err, context.Canceled) {

@@ -1,9 +1,12 @@
 package mapper
 
 import (
+	"context"
+	"math"
 	"reflect"
 	"testing"
 
+	"edm/internal/circuit"
 	"edm/internal/device"
 	"edm/internal/rng"
 	"edm/internal/workloads"
@@ -24,25 +27,65 @@ func driftWorkloads(t *testing.T) []workloads.Workload {
 	return ws
 }
 
-// TestTrackingCheckedIdentity is the exactness pin for the tentpole:
-// across drifting calibration cycles, a RecompileChecked Tracking serves
-// ensembles bit-identical (as values) to a full rebuild at the current
-// calibration, for every k including the k = 1 branch-and-bound path,
-// while actually reusing work (the counters prove candidates survived).
+// candEqual reports bit-identity of two pool candidates: same ESP bits,
+// same initial layout, and the same routing decisions.
+func candEqual(a, b *candidate) bool {
+	if math.Float64bits(a.esp) != math.Float64bits(b.esp) || !sameInts(a.layout, b.layout) {
+		return false
+	}
+	if (a.alt == nil) != (b.alt == nil) {
+		return false
+	}
+	if a.alt != nil {
+		return sameInts(a.alt.res.final, b.alt.res.final) && sameRecs(a.alt.res.rec, b.alt.res.rec)
+	}
+	return sameInts(a.mono, b.mono)
+}
+
+// poolsIdentical rebuilds the circuit's pool from scratch at the
+// tracked calibration and reports whether the tracked (upgraded) pool
+// holds the same candidates in the same order, with bit-identical ESPs,
+// layouts and routing.
+func poolsIdentical(t *testing.T, tr *Tracking, logical *circuit.Circuit) bool {
+	t.Helper()
+	pe, err := tr.poolFor(context.Background(), logical)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := tr.Compiler().buildPool(logical)
+	if pe.err != nil || fresh.err != nil {
+		t.Fatalf("pool errors: tracked %v, fresh %v", pe.err, fresh.err)
+	}
+	if len(pe.cpool) != len(fresh.cpool) {
+		return false
+	}
+	for i := range pe.cpool {
+		if !candEqual(pe.cpool[i], fresh.cpool[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestTrackingCheckedIdentity is the exactness pin of the drift-tracked
+// pools: across drifting calibration cycles, a Tracking serves ensembles
+// bit-identical (as values) to a full rebuild at the current
+// calibration, for every k including k = 1, and its pools match a fresh
+// build candidate by candidate, while actually upgrading (the counters
+// prove candidates survived).
 func TestTrackingCheckedIdentity(t *testing.T) {
 	ws := driftWorkloads(t)
 	root := rng.New(71)
 	cal := device.Generate(device.Melbourne(), device.MelbourneProfile(), root.Derive("cal"))
-	tr := NewTracking(cal, RecompileChecked)
+	tr := NewTracking(cal)
 	for cycle := 0; cycle < 4; cycle++ {
 		if cycle > 0 {
 			cal = cal.DriftLocal(2, 2, 0.4, 2e-3, root.DeriveN("cycle", cycle))
-			d := tr.Advance(cal, 1e-3)
-			if d.Full() {
-				t.Fatalf("cycle %d: local drift reported as full-invalidation diff: %+v", cycle, d.Stats)
-			}
+			tr.Advance(cal)
 		}
-		fresh := tr.Compiler().Uncached()
+		// The generation's compiler carries no ensemble memo, so its
+		// TopK builds from scratch.
+		fresh := tr.Compiler()
 		for _, w := range ws {
 			for _, k := range []int{1, 2, 4} {
 				got, err := tr.TopK(w.Circuit, k)
@@ -57,12 +100,8 @@ func TestTrackingCheckedIdentity(t *testing.T) {
 					t.Fatalf("cycle %d %s k=%d: tracked ensemble differs from full rebuild", cycle, w.Name, k)
 				}
 			}
-			identical, delta, err := tr.CrossCheck(w.Circuit)
-			if err != nil {
-				t.Fatalf("cycle %d %s: cross-check: %v", cycle, w.Name, err)
-			}
-			if !identical {
-				t.Fatalf("cycle %d %s: incremental pool not identical to full rebuild (max ESP delta %g)", cycle, w.Name, delta)
+			if !poolsIdentical(t, tr, w.Circuit) {
+				t.Fatalf("cycle %d %s: upgraded pool not identical to full rebuild", cycle, w.Name)
 			}
 		}
 	}
@@ -70,10 +109,10 @@ func TestTrackingCheckedIdentity(t *testing.T) {
 	if s.Pools == 0 {
 		t.Fatal("no pool upgrades recorded across 3 advances")
 	}
-	if s.Reused+s.Rescored == 0 {
-		t.Fatalf("no candidates survived any upgrade; incremental path never engaged: %+v", s)
+	if s.Rescored == 0 {
+		t.Fatalf("no candidates survived any upgrade; the upgrade path never engaged: %+v", s)
 	}
-	if got := s.Reused + s.Rescored + s.Rerouted + s.Dropped; got != s.Processed() {
+	if got := s.Rescored + s.Rerouted + s.Dropped; got != s.Processed() {
 		t.Fatalf("Processed() = %d, parts sum to %d", s.Processed(), got)
 	}
 	if sv := s.Survival(); sv < 0 || sv > 1 {
@@ -81,53 +120,9 @@ func TestTrackingCheckedIdentity(t *testing.T) {
 	}
 }
 
-// TestTrackingTolZeroDegenerates pins the tol = 0 contract: any bit of
-// drift makes the diff Full, so every upgrade is a full rebuild — exactly
-// today's fingerprint-keyed full-invalidation behavior.
-func TestTrackingTolZeroDegenerates(t *testing.T) {
-	ws := driftWorkloads(t)
-	root := rng.New(72)
-	cal := device.Generate(device.Melbourne(), device.MelbourneProfile(), root.Derive("cal"))
-	tr := NewTracking(cal, RecompileChecked)
-	for _, w := range ws {
-		if _, err := tr.TopK(w.Circuit, 4); err != nil {
-			t.Fatal(err)
-		}
-	}
-	cal = cal.DriftLocal(2, 2, 0.4, 2e-3, root.Derive("drift"))
-	d := tr.Advance(cal, 0)
-	if !d.Full() {
-		t.Fatalf("tol=0 diff of drifted calibration is not Full: %+v", d.Stats)
-	}
-	fresh := tr.Compiler().Uncached()
-	for _, w := range ws {
-		got, err := tr.TopK(w.Circuit, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := fresh.TopK(w.Circuit, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: tol=0 tracked ensemble differs from full rebuild", w.Name)
-		}
-	}
-	s := tr.Stats()
-	if s.Pools != uint64(len(ws)) || s.FullRebuilds != s.Pools {
-		t.Fatalf("tol=0 must rebuild every pool: %+v", s)
-	}
-	if s.Reused+s.Rescored+s.Rerouted != 0 {
-		t.Fatalf("tol=0 reused candidate structure: %+v", s)
-	}
-	if s.Dropped == 0 {
-		t.Fatalf("full rebuilds dropped no candidates: %+v", s)
-	}
-}
-
-// TestTrackingSkippedGenerations checks the history-window diff: a pool
-// requested at generation 0 and next requested at generation 3 upgrades
-// against the direct gen-0 → gen-3 diff and stays exact.
+// TestTrackingSkippedGenerations: a pool requested at generation 0 and
+// next requested at generation 3 upgrades once, straight to the current
+// calibration, and stays exact.
 func TestTrackingSkippedGenerations(t *testing.T) {
 	w, ok := workloads.ByName("qaoa-6")
 	if !ok {
@@ -135,141 +130,52 @@ func TestTrackingSkippedGenerations(t *testing.T) {
 	}
 	root := rng.New(73)
 	cal := device.Generate(device.Melbourne(), device.MelbourneProfile(), root.Derive("cal"))
-	tr := NewTracking(cal, RecompileChecked)
+	tr := NewTracking(cal)
 	if _, err := tr.TopK(w.Circuit, 4); err != nil {
 		t.Fatal(err)
 	}
 	for cycle := 1; cycle <= 3; cycle++ {
 		cal = cal.DriftLocal(2, 2, 0.4, 2e-3, root.DeriveN("cycle", cycle))
-		tr.Advance(cal, 1e-3)
+		tr.Advance(cal)
 	}
-	identical, delta, err := tr.CrossCheck(w.Circuit)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !identical {
-		t.Fatalf("pool upgraded across 3 skipped generations diverged (max ESP delta %g)", delta)
+	if !poolsIdentical(t, tr, w.Circuit) {
+		t.Fatal("pool upgraded across 3 skipped generations diverged from a full rebuild")
 	}
 	if s := tr.Stats(); s.Pools != 1 {
 		t.Fatalf("want exactly one (coalesced) upgrade, got %+v", s)
 	}
 }
 
-// TestTrackingHistoryAgeOut checks the retention bound: a pool whose last
-// generation has aged out of the trackHist window gets a Global diff and
-// rebuilds fully rather than diffing against a forgotten calibration.
-func TestTrackingHistoryAgeOut(t *testing.T) {
-	w, ok := workloads.ByName("bv-6")
-	if !ok {
-		t.Fatal("unknown workload")
+// TestTrackingTopologyChangeRebuilds: the VF2 enumeration an upgrade
+// keeps is only valid on the coupling graph it ran on. Closing a line
+// into a ring through its worst link keeps every calibration value the
+// one-CX program's placement and routing read, so both come back
+// unchanged, but it adds placements; the upgrade must rebuild the pool.
+func TestTrackingTopologyChangeRebuilds(t *testing.T) {
+	cal := device.Generate(device.Linear(8), device.MelbourneProfile(), rng.New(74))
+	worst := cal.Topo.Edges()[0]
+	for _, e := range cal.Topo.Edges() {
+		if cal.CXErr[e] > cal.CXErr[worst] {
+			worst = e
+		}
 	}
-	cal := device.Generate(device.Melbourne(), device.MelbourneProfile(), rng.New(74))
-	tr := NewTracking(cal, RecompileChecked)
+	ring := cal.Clone()
+	ring.Topo = device.Ring(8)
+	closing := device.NewEdge(0, 7)
+	ring.CXErr[closing] = cal.CXErr[worst]
+	ring.CXCohZZ[closing] = cal.CXCohZZ[worst]
+	ring.CrossZZ[closing] = cal.CrossZZ[worst]
+
+	w := workloads.BV("1")
+	tr := NewTracking(cal)
 	if _, err := tr.TopK(w.Circuit, 2); err != nil {
 		t.Fatal(err)
 	}
-	// Advance past the window without touching the pool. The calibration
-	// never changes, so each advance is cheap and the only reason to
-	// rebuild is the lost history.
-	for i := 0; i < trackHist; i++ {
-		tr.Advance(cal, 1e-3)
+	tr.Advance(ring)
+	if !poolsIdentical(t, tr, w.Circuit) {
+		t.Fatal("pool after a topology change differs from a full rebuild")
 	}
-	if d := tr.diffFor(0); !d.Global {
-		t.Fatalf("generation 0 still diffable after %d advances; want Global fallback", trackHist)
-	}
-	if _, err := tr.TopK(w.Circuit, 2); err != nil {
-		t.Fatal(err)
-	}
-	s := tr.Stats()
-	if s.Pools != 1 || s.FullRebuilds != 1 {
-		t.Fatalf("aged-out pool must rebuild fully: %+v", s)
-	}
-}
-
-// TestTrackingFastMode sanity-checks the approximate mode: pools stay
-// usable and under sub-tolerance jitter (nothing beyond tol) the fast
-// path keeps all structure and only re-scores. The pool is NOT asserted
-// identical to a full rebuild — routing ties can flip between
-// ESP-equivalent symmetric layouts under any jitter, which is exactly
-// the check RecompileFast skips — but the cross-check's routed-ESP
-// delta, the quantity the mode trades for speed, must stay negligible.
-func TestTrackingFastMode(t *testing.T) {
-	ws := driftWorkloads(t)
-	root := rng.New(76)
-	cal := device.Generate(device.Melbourne(), device.MelbourneProfile(), root.Derive("cal"))
-	tr := NewTracking(cal, RecompileFast)
-	for cycle := 0; cycle < 3; cycle++ {
-		if cycle > 0 {
-			// Jitter only, well under tolerance: no qubit or edge moves
-			// beyond tol, so fast mode keeps all structure and re-scores.
-			cal = cal.DriftLocal(0, 0, 0, 1e-5, root.DeriveN("cycle", cycle))
-			d := tr.Advance(cal, 1e-2)
-			if d.Stats.ChangedQubits+d.Stats.ChangedEdges != 0 {
-				t.Fatalf("cycle %d: sub-tolerance jitter crossed tolerance: %+v", cycle, d.Stats)
-			}
-		}
-		for _, w := range ws {
-			exes, err := tr.TopK(w.Circuit, 4)
-			if err != nil {
-				t.Fatalf("cycle %d %s: %v", cycle, w.Name, err)
-			}
-			for i, e := range exes {
-				if e.ESP <= 0 || e.ESP > 1 {
-					t.Fatalf("cycle %d %s member %d: ESP %g out of range", cycle, w.Name, i, e.ESP)
-				}
-			}
-			_, delta, err := tr.CrossCheck(w.Circuit)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if delta > 1e-9 {
-				t.Fatalf("cycle %d %s: fast mode routed-ESP delta %g under sub-tolerance jitter", cycle, w.Name, delta)
-			}
-		}
-	}
-	s := tr.Stats()
-	if s.Rerouted != 0 || s.FullRebuilds != 0 {
-		t.Fatalf("sub-tolerance fast upgrades re-routed or rebuilt: %+v", s)
-	}
-	if s.Rescored == 0 {
-		t.Fatalf("jitter touched nothing? %+v", s)
-	}
-}
-
-// TestTrackingExecutableTransfer checks that executables materialized in
-// one generation are transferred (not rebuilt) across an upgrade whose
-// checks pass, with the new generation's ESP patched in.
-func TestTrackingExecutableTransfer(t *testing.T) {
-	w, ok := workloads.ByName("bv-6")
-	if !ok {
-		t.Fatal("unknown workload")
-	}
-	root := rng.New(77)
-	cal := device.Generate(device.Melbourne(), device.MelbourneProfile(), root.Derive("cal"))
-	tr := NewTracking(cal, RecompileChecked)
-	before, err := tr.TopK(w.Circuit, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cal = cal.DriftLocal(1, 1, 0.3, 1e-4, root.Derive("drift"))
-	tr.Advance(cal, 1e-3)
-	after, err := tr.TopK(w.Circuit, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s := tr.Stats(); s.FullRebuilds != 0 {
-		t.Fatalf("upgrade fell back to a full rebuild; transfer not exercised: %+v", s)
-	}
-	shared := 0
-	for _, a := range after {
-		for _, b := range before {
-			if a.Circuit == b.Circuit && sameInts(a.InitialLayout, b.InitialLayout) {
-				shared++
-				break
-			}
-		}
-	}
-	if shared == 0 {
-		t.Fatal("no materialized circuit survived a local-drift upgrade")
+	if s := tr.Stats(); s.Pools != 1 || s.FullRebuilds != 1 || s.CheckFailed != 0 {
+		t.Fatalf("topology change must rebuild fully before any re-route check: %+v", s)
 	}
 }

@@ -507,7 +507,7 @@ func (c *Compiler) TopKCtx(ctx context.Context, logical *circuit.Circuit, k int)
 // The result is everything TopK needs for any k >= 2. Errors are carried
 // in the entry so a cached failure replays deterministically. The
 // compile stage is inlined (validate, place, dry-route, replay) so the
-// entry can retain the intermediates incremental recompilation needs.
+// entry can retain the intermediates the drift-tracked upgrade needs.
 func (c *Compiler) buildPool(logical *circuit.Circuit) *poolEntry {
 	if err := c.widthErr(); err != nil {
 		return &poolEntry{err: err}

@@ -149,8 +149,8 @@ func value[V any](v V, _ error) V { return v }
 
 // GetGenCtx is the cache's one lookup path: Get with generation-tagged
 // entries and cancellation. Generations are the invalidation mechanism
-// behind drift-aware incremental recompilation (DESIGN.md §11). An entry
-// is valid only for the generation it was built at:
+// behind the drift-tracked pools (DESIGN.md §11). An entry is valid only
+// for the generation it was built at:
 //
 //   - matching generation: a hit, or a singleflight wait on the
 //     in-flight build;

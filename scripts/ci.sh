@@ -130,14 +130,14 @@ wait "$EDMD_PID" || { echo "wide edmd exited nonzero on SIGTERM" >&2; exit 1; }
 EDMD_PID=""
 echo "wide-device smoke OK"
 
-echo "== incremental recompilation identity (DESIGN.md §11) =="
+echo "== drift-tracked pool identity (DESIGN.md §11) =="
 # The drift-tracked pools must be bit-identical to full recompilation at
 # any GOMAXPROCS: serial pins the GOMAXPROCS=1 end, the full-width pass
 # runs under the race detector because pool upgrades re-score candidates
-# in parallel and transfer materialized executables across generations.
-GOMAXPROCS=1 go test -race -count=1 -run 'Tracking|DriftCampaign|GetGen|Diff|DriftLocal' \
+# in parallel and replace generation-tagged memo entries in place.
+GOMAXPROCS=1 go test -race -count=1 -run 'Tracking|DriftCampaign|GetGen|DriftLocal' \
 	./internal/mapper ./internal/experiment ./internal/memo ./internal/device
-go test -race -count=1 -run 'Tracking|DriftCampaign|GetGen|Diff|DriftLocal' \
+go test -race -count=1 -run 'Tracking|DriftCampaign|GetGen|DriftLocal' \
 	./internal/mapper ./internal/experiment ./internal/memo ./internal/device
 
 echo "== trajectory engine determinism (DESIGN.md §10) =="
