@@ -80,3 +80,43 @@ func FuzzParseText(f *testing.F) {
 		}
 	})
 }
+
+// FuzzParseQASM holds ParseQASM to what FuzzParseText holds ParseText
+// to: rejecting input is fine, crashing is not, anything accepted
+// passes Validate, and QASM() -> ParseQASM -> QASM() is byte-stable.
+// The seeds are the QASM forms of FuzzParseText's seeds, plus an angle
+// that overflows to +Inf while it is evaluated.
+func FuzzParseQASM(f *testing.F) {
+	const head = "OPENQASM 2.0;\ninclude \"qelib1.inc\";\n"
+	seeds := []string{
+		head + "qreg q[2];\ncreg c[2];\nh q[0];\ncx q[0],q[1];\nmeasure q[0] -> c[0];\n",
+		head + "// circuit: x\nqreg q[3];\nswap q[0],q[2];\nbarrier q;\n",
+		head + "qreg q[1];\nrz(0.5) q[0];\n",
+		head + "qreg q[2];\nu3(1,2,3) q[1];\n// comment\n",
+		head + "qreg q[0];\n",
+		head + "qreg q[1];\ncreg c[1];\nrz(NaN) q[0];\nmeasure q[0] -> c[0];\n",
+		head + "qreg q[1];\nrz(Inf) q[0];\n",
+		head + "qreg q[1];\nu3(NaN,0,0) q[0];\n",
+		head + "qreg q[1];\nrz(pi/1e-320) q[0];\n",
+	}
+	for _, s := range seeds {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		c, err := ParseQASM(src)
+		if err != nil {
+			return
+		}
+		if err := c.Validate(); err != nil {
+			t.Fatalf("ParseQASM accepted invalid circuit: %v", err)
+		}
+		q := c.QASM()
+		c2, err := ParseQASM(q)
+		if err != nil {
+			t.Fatalf("round trip failed: %v\n%s", err, q)
+		}
+		if c2.QASM() != q {
+			t.Fatalf("round trip unstable:\n%q\nvs\n%q", c2.QASM(), q)
+		}
+	})
+}

@@ -56,19 +56,89 @@ func BenchmarkApply1Q(b *testing.B) {
 	}
 }
 
-// BenchmarkApply2Q measures the general dense two-qubit kernel on the
-// worst-case stride pair (lowest and highest qubit).
+// apply2QPairs are the ordered qubit pairs BenchmarkApply2Q sweeps on an
+// n-qubit register: every layout whose lower qubit is 0 or 1 takes its
+// own deinterleaving kernel, (2,3) the contiguous-run kernel and
+// (0,n-1) the pairs kernel on halves of a whole lane.
+func apply2QPairs(n int) [][2]int {
+	return [][2]int{{0, 1}, {1, 0}, {0, 2}, {1, 2}, {1, n - 1}, {2, 3}, {0, n - 1}}
+}
+
+// BenchmarkApply2Q measures the general dense two-qubit kernel on each
+// qubit-pair layout of apply2QPairs.
 func BenchmarkApply2Q(b *testing.B) {
 	dense := denseMatrix4()
 	for _, n := range benchSizes {
-		b.Run(fmt.Sprintf("q%d", n), func(b *testing.B) {
-			s := randomState(n, rng.New(5))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				s.Apply2Q(dense, 0, n-1)
-			}
-		})
+		for _, p := range apply2QPairs(n) {
+			b.Run(fmt.Sprintf("q%d/%d,%d", n, p[0], p[1]), func(b *testing.B) {
+				s := randomState(n, rng.New(5))
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					s.Apply2Q(dense, p[0], p[1])
+				}
+			})
+		}
+	}
+}
+
+// laneQubits are the qubits BenchmarkProjectDrop and BenchmarkEnter
+// sweep on an n-qubit lane: the four lowest, whose runs are 1 to 8
+// amplitudes long, a middle one and the top one.
+func laneQubits(n int) []int { return []int{0, 1, 2, 3, n / 2, n - 1} }
+
+// BenchmarkProjectDrop measures a terminal drop on 1 and 2 lanes of a
+// 12-qubit batch: each lane keeps one half of every block of the
+// dropped qubit and scales it. Each iteration re-widens the batch by
+// re-carving its lanes (setWidth), which costs a few stores, so no
+// timer stops; with norm 1 the scale is 1 and the amplitudes stay
+// finite however often the pass reruns on its own output.
+func BenchmarkProjectDrop(b *testing.B) {
+	const n = 12
+	for _, q := range laneQubits(n) {
+		for _, lanes := range []int{1, 2} {
+			b.Run(fmt.Sprintf("n%d/q%d/lanes%d", n, q, lanes), func(b *testing.B) {
+				batch := GetBatch(n, lanes)
+				defer batch.Release()
+				outcomes := make([]int, lanes)
+				norms := make([]float64, lanes)
+				for l := 0; l < lanes; l++ {
+					batch.PushLane(randomState(n, rng.New(uint64(21+l))))
+					outcomes[l] = l % 2
+					norms[l] = 1
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					batch.ProjectDrop(q, outcomes, norms)
+					batch.setWidth(n)
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkEnter measures a lazy entry on 1 and 2 lanes of a batch
+// widening from 11 to 12 qubits. Each iteration narrows the batch back
+// by re-carving its lanes (setWidth), so no timer stops.
+func BenchmarkEnter(b *testing.B) {
+	const n = 12
+	for _, q := range laneQubits(n) {
+		for _, lanes := range []int{1, 2} {
+			b.Run(fmt.Sprintf("n%d/q%d/lanes%d", n, q, lanes), func(b *testing.B) {
+				batch := GetBatch(n, lanes)
+				defer batch.Release()
+				for l := 0; l < lanes; l++ {
+					batch.PushLane(randomState(n-1, rng.New(uint64(31+l))))
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					batch.Enter(q)
+					batch.setWidth(n - 1)
+				}
+			})
+		}
 	}
 }
 

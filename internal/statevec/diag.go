@@ -278,22 +278,26 @@ func (s *State) Collapse(q, outcome int, norm float64, drop bool) {
 
 // gatherScale is projectDrop after its norm pass: it gathers the
 // amplitudes of srcR/srcI whose `bit` equals outcome into dstR/dstI and
-// scales them by (scale + 0i). dst may alias the start of src, as in
-// projectDrop. Runs of 4 or more amplitudes are scaled as they move;
-// shorter ones move first and are scaled in one pass.
+// scales them by (scale + 0i) with cscaleRun's expressions as they
+// move. dst may alias the start of src, as in projectDrop: each
+// amplitude is read before any write lands on it. On AVX2 hardware one
+// pass covers the register (gatherScaleAVX).
 func gatherScale(dstR, dstI, srcR, srcI []float64, bit, outcome int, scale float64) {
-	j := 0
-	for blk := outcome * bit; blk < len(srcR); blk += bit << 1 {
-		if bit >= 4 {
-			cscaleMove(dstR[j:j+bit], dstI[j:j+bit], srcR[blk:blk+bit], srcI[blk:blk+bit], scale, 0)
-		} else {
-			copy(dstR[j:j+bit], srcR[blk:blk+bit])
-			copy(dstI[j:j+bit], srcI[blk:blk+bit])
-		}
-		j += bit
+	n := len(srcR)
+	srcI = srcI[:n]
+	dstR, dstI = dstR[:n/2], dstI[:n/2]
+	if kernelAVX2 && n >= 8 {
+		gatherScaleAVX(&dstR[0], &dstI[0], &srcR[0], &srcI[0], n, bit, outcome, scale)
+		return
 	}
-	if bit < 4 {
-		cscaleRun(dstR[:j], dstI[:j], scale, 0)
+	j := 0
+	for blk := outcome * bit; blk < n; blk += bit << 1 {
+		for i := blk; i < blk+bit; i++ {
+			ar, ai := srcR[i], srcI[i]
+			dstR[j] = ar*scale - ai*0
+			dstI[j] = ar*0 + ai*scale
+			j++
+		}
 	}
 }
 

@@ -45,9 +45,17 @@ func (s *State) Enter(q int) {
 // The lane index of a Batch sits above every qubit bit, so the same
 // spread widens every live lane at once. It runs top down: each run
 // moves to an index at or above its own, so it is read before any write
-// lands on it.
+// lands on it. On AVX2 hardware, runs of up to 32 amplitudes take one
+// pass (enterSpreadAVX) over the first size&^3 amplitudes, after the
+// runs above them, which exist only when narrow lanes leave size short
+// of a multiple of 4; longer runs move faster through copy and clear.
 func enterSpread(re, im []float64, size, bit int) {
-	for s := size - bit; s >= 0; s -= bit {
+	re, im = re[:2*size], im[:2*size]
+	v := 0
+	if kernelAVX2 && bit <= 32 {
+		v = size &^ 3
+	}
+	for s := size - bit; s >= v; s -= bit {
 		d := 2 * s
 		if bit < 8 {
 			for i := bit - 1; i >= 0; i-- {
@@ -64,6 +72,9 @@ func enterSpread(re, im []float64, size, bit int) {
 		copy(im[d:d+bit], im[s:s+bit])
 		clear(re[d+bit : d+2*bit])
 		clear(im[d+bit : d+2*bit])
+	}
+	if v > 0 {
+		enterSpreadAVX(&re[0], &im[0], v, bit)
 	}
 }
 

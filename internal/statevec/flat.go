@@ -12,11 +12,27 @@ package statevec
 // lane-by-lane loop: amplitude i of lane k sees the exact FP op sequence
 // of the frozen complex128 loops either way.
 //
-// For target bits below the vector width (bit 1 and 2 — qubits 0 and 1)
-// the per-run dispatch used to fall through to the scalar bodies; here
-// those cases get their own AVX2 kernels (mul1QPairsAVX etc.) that
-// deinterleave the role streams in registers, turning the flat array —
-// and with it the batch dimension — into stride-1 vector work.
+// On AVX2 hardware every kernel makes one assembly call per flat array,
+// or one per run where runs are 4 or more amplitudes long; a target bit
+// below the vector width (bit 1 or 2 — qubits 0 and 1) has no such runs,
+// and each layout takes its own treatment:
+//
+//   - 1Q general and anti-diagonal: pair-deinterleave (bit 1) and
+//     128-bit-half (bit 2) kernels, mul1QPairsAVX / mul1QGap2AVX and
+//     antiPairsAVX / antiGap2AVX.
+//   - Diagonals (1Q, and 2Q with a bit below 4): coefficient-pattern
+//     passes (cscalePattern), since a diagonal acts elementwise.
+//   - 2Q general: mul2QLow's kernels — one vector per base for qubits 0
+//     and 1 (mul2QQuad*), and role streams split out of each block's
+//     halves for qubit 0 or 1 with a higher qubit (mul2QPairs*,
+//     mul2QGap2*); lower qubits at bit 4 and above take mul2QAVX, one
+//     pass over every base.
+//   - 2Q permutations: always the scalar body, which is gather-bound.
+//
+// Terminal drops (gatherScale, diag.go) and lazy entries (enterSpread,
+// enter.go) have one-pass kernels of their own for the same reason. A
+// Batch's flat array is lanes × 2^n long, so with narrow lanes it can
+// end short of a kernel's step; the scalar body finishes that tail.
 
 // flat1QGeneral applies a general 2x2 matrix (mat2SoA layout) on the
 // qubit with bit mask `bit` across the whole flat array.
@@ -105,24 +121,24 @@ func flat2QGeneral(re, im []float64, b0, b1 int, mm *[32]float64) {
 		lo, hi = hi, lo
 	}
 	n := len(re)
-	if lo == 1 && hi >= 8 && kernelAVX2 {
-		// One of the qubits is bit 0: every base index is even and its
-		// b-low partner is the adjacent odd index, so the low and high
-		// halves of each block are two interleaved role streams. The
-		// pairs kernel deinterleaves them in registers.
-		for i2 := 0; i2 < n; i2 += hi << 1 {
-			mul2QPairs(
-				re[i2:i2+hi:i2+hi], im[i2:i2+hi:i2+hi],
-				re[i2+hi:i2+(hi<<1):i2+(hi<<1)], im[i2+hi:i2+(hi<<1):i2+(hi<<1)],
-				b0 == 1, mm)
+	if kernelAVX2 && n > 0 {
+		if lo >= 4 {
+			// Role streams are runs of lo >= 4: one pass walks every base.
+			mul2QAVX(&re[0], &im[:n][0], n, b0, b1, lo-1, hi-1, mm)
+			return
 		}
-		return
+		v := mul2QLow(re, im, lo, hi, b0 == lo, mm)
+		if v == n {
+			return
+		}
+		re, im = re[v:], im[v:]
+		n -= v
 	}
 	// Stride loop: enumerate only the base indices with both qubits
 	// clear via three nested strides.
 	for i2 := 0; i2 < n; i2 += hi << 1 {
 		for i1 := i2; i1 < i2+hi; i1 += lo << 1 {
-			mul2QRuns(re, im, i1, lo, b0, b1, mm)
+			scalarMul2Q(re, im, i1, lo, b0, b1, mm)
 		}
 	}
 }

@@ -76,29 +76,6 @@ func scalarCScale(re, im []float64, cr, ci float64) {
 	}
 }
 
-// cscaleMove writes src times the complex scalar (cr + ci*i) to dst
-// with cscaleRun's expressions. dst may alias src at or below it: each
-// vector is read before any write lands on it.
-func cscaleMove(dstR, dstI, srcR, srcI []float64, cr, ci float64) {
-	n := len(srcR)
-	if kernelAVX2 && n >= 4 {
-		v := n &^ 3
-		cscaleMoveAVX(&dstR[0], &dstI[0], &srcR[0], &srcI[0], v, cr, ci)
-		if v == n {
-			return
-		}
-		dstR, dstI, srcR, srcI = dstR[v:], dstI[v:], srcR[v:], srcI[v:]
-	}
-	srcI = srcI[:len(srcR)]
-	dstR = dstR[:len(srcR)]
-	dstI = dstI[:len(srcR)]
-	for i, ar := range srcR {
-		ai := srcI[i]
-		dstR[i] = ar*cr - ai*ci
-		dstI[i] = ar*ci + ai*cr
-	}
-}
-
 // cscalePattern multiplies amplitude i by the complex scalar
 // (cr[i&3] + ci[i&3]*i). Diagonal kernels whose stride is below the
 // vector width reduce to this: the coefficient pattern repeats every 2
@@ -161,22 +138,9 @@ func scalarAnti(loR, loI, hiR, hiI []float64, c *[4]float64) {
 	}
 }
 
-// mul2QRuns applies a general 4x4 matrix (mat4SoA layout) to the run of
-// `lo` base indices starting at i1; the four matrix-basis roles live at
-// offsets 0, b0, b1, b0|b1 from each base.
-func mul2QRuns(re, im []float64, i1, lo, b0, b1 int, mm *[32]float64) {
-	if kernelAVX2 && lo >= 4 {
-		mul2QAVX(
-			&re[i1], &im[i1],
-			&re[i1+b0], &im[i1+b0],
-			&re[i1+b1], &im[i1+b1],
-			&re[i1+b0+b1], &im[i1+b0+b1],
-			lo, mm)
-		return
-	}
-	scalarMul2Q(re, im, i1, lo, b0, b1, mm)
-}
-
+// scalarMul2Q applies a general 4x4 matrix (mat4SoA layout) to the run
+// of `lo` base indices starting at i1; the four matrix-basis roles live
+// at offsets 0, b0, b1, b0|b1 from each base.
 func scalarMul2Q(re, im []float64, i1, lo, b0, b1 int, mm *[32]float64) {
 	for base := i1; base < i1+lo; base++ {
 		idx := [4]int{base, base | b0, base | b1, base | b0 | b1}
@@ -201,19 +165,71 @@ func scalarMul2Q(re, im []float64, i1, lo, b0, b1 int, mm *[32]float64) {
 	}
 }
 
-// mul2QPairs handles the lo == 1 layout of Apply2Q: one target qubit is
-// bit 0, so each half of an i2 block interleaves two matrix-basis role
-// streams at stride 2 (even = qubit-0-clear, odd = qubit-0-set). The
-// AVX2 kernels deinterleave the halves in registers; role order — and
-// with it the frozen loop's summation order — depends on whether the
-// interleaved qubit is q0 (matrix low bit) or q1, hence two variants.
-// Only called when kernelAVX2 is set and the halves are >= 8 floats.
-func mul2QPairs(loR, loI, hiR, hiI []float64, b0low bool, mm *[32]float64) {
-	if b0low {
-		mul2QPairsB0AVX(&loR[0], &loI[0], &hiR[0], &hiI[0], len(loR), mm)
-		return
+// mul2QLow runs a dense 4x4 whose lower qubit sits below the vector
+// width (lo = 1 or 2, qubit 0 or 1) through its AVX2 kernel, over the
+// longest prefix of the non-empty flat array the kernel's step
+// divides, and returns that prefix's length; the caller finishes the
+// rest — shorter than one step, which happens only on a Batch whose
+// lanes are narrower than the step — with the stride loop. b0low
+// reports whether q0, the matrix low bit, is the lower qubit: role
+// order in a vector, and with it which stream feeds which matrix
+// column, depends on it, hence two variants of each kernel. Only called
+// when kernelAVX2 is set.
+//
+//   - lo = 1, hi = 2 (mul2QQuad*): each 4-amplitude block is one base's
+//     four roles, so one vector is one base; steps of 4 amplitudes.
+//   - lo = 1, hi >= 4 (mul2QPairs*): the lower and upper halves of each
+//     2*hi block each interleave two role streams at stride 2; steps of
+//     8 amplitudes from each half (two blocks' halves when hi = 4).
+//   - lo = 2, hi >= 4 (mul2QGap2*): as the pairs kernels, with each
+//     stream pair the 128-bit halves of 4-amplitude blocks.
+func mul2QLow(re, im []float64, lo, hi int, b0low bool, mm *[32]float64) int {
+	n := len(re)
+	im = im[:n]
+	if hi == 2 {
+		// Blocks of 4 amplitudes tile every flat array of lanes of 2 or
+		// more qubits.
+		var cols [32]float64
+		quadCols(&cols, mm, b0low)
+		if b0low {
+			mul2QQuadB0AVX(&re[0], &im[0], n, &cols)
+		} else {
+			mul2QQuadB1AVX(&re[0], &im[0], n, &cols)
+		}
+		return n
 	}
-	mul2QPairsB1AVX(&loR[0], &loI[0], &hiR[0], &hiI[0], len(loR), mm)
+	v := n &^ (max(16, 2*hi) - 1)
+	if v == 0 {
+		return 0
+	}
+	switch {
+	case lo == 1 && b0low:
+		mul2QPairsB0AVX(&re[0], &im[0], v, hi, mm)
+	case lo == 1:
+		mul2QPairsB1AVX(&re[0], &im[0], v, hi, mm)
+	case b0low:
+		mul2QGap2B0AVX(&re[0], &im[0], v, hi, mm)
+	default:
+		mul2QGap2B1AVX(&re[0], &im[0], v, hi, mm)
+	}
+	return v
+}
+
+// quadCols lays a mat4SoA matrix out in cols for mul2QQuad*: for each
+// matrix column c, the real parts of 4 lanes, then their imaginary
+// parts, lane l holding the entry in the row of the role block lane l
+// holds — role l, or with q0 at qubit 1 (b0low false) roles 0, 2, 1, 3.
+func quadCols(cols, mm *[32]float64, b0low bool) {
+	rows := [4]int{0, 1, 2, 3}
+	if !b0low {
+		rows = [4]int{0, 2, 1, 3}
+	}
+	for c := 0; c < 4; c++ {
+		for l, r := range rows {
+			cols[c*8+l] = mm[r*8+2*c]
+			cols[c*8+4+l] = mm[r*8+2*c+1]
+		}
+	}
 }
 
 // perm2QRuns applies a permutation-with-phases matrix (Perm4) to the run

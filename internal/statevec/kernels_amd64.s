@@ -13,6 +13,7 @@
 //   BX  — pointer to the 32-float matrix (row-major, re/im interleaved;
 //         row r column c real part at byte offset r*64 + c*16)
 //   R8  — current float index into the streams
+//   R9  — in the split kernels, the index of a step's second 4 floats
 //   Y8, Y9   — accumulator (real, imag) for the row being computed
 //   Y10-Y13  — temporaries (matrix broadcasts, products)
 
@@ -43,26 +44,6 @@
 	VMULPD INR, Y11, Y13 \
 	VADDPD Y13, Y12, Y12 \
 	VADDPD Y12, Y9, Y9
-
-// DEINT loads 8 interleaved floats [e0 o0 e1 o1 e2 o2 e3 o3] from
-// PTR+R8*8 and splits them into even lanes EV and odd lanes OD.
-#define DEINT(PTR, EV, OD) \
-	VMOVUPD (PTR)(R8*8), Y10 \
-	VMOVUPD 32(PTR)(R8*8), Y11 \
-	VPERM2F128 $0x20, Y11, Y10, Y12 \
-	VPERM2F128 $0x31, Y11, Y10, Y13 \
-	VUNPCKLPD Y13, Y12, EV \
-	VUNPCKHPD Y13, Y12, OD
-
-// REPACK interleaves even lanes EV and odd lanes OD back into
-// [e0 o0 e1 o1 e2 o2 e3 o3] and stores them at PTR+R8*8.
-#define REPACK(EV, OD, PTR) \
-	VUNPCKLPD OD, EV, Y10 \
-	VUNPCKHPD OD, EV, Y11 \
-	VPERM2F128 $0x20, Y11, Y10, Y12 \
-	VPERM2F128 $0x31, Y11, Y10, Y13 \
-	VMOVUPD Y12, (PTR)(R8*8) \
-	VMOVUPD Y13, 32(PTR)(R8*8)
 
 // func cpuHasAVX2() bool
 // CPUID feature bits plus XGETBV confirmation that the OS saves YMM
@@ -198,42 +179,6 @@ csdone:
 	VZEROUPPER
 	RET
 
-// func cscaleMoveAVX(dstR, dstI, srcR, srcI *float64, n int, cr, ci float64)
-// cscaleAVX from a source run into a destination run at or below it;
-// n is a multiple of 4.
-TEXT ·cscaleMoveAVX(SB), NOSPLIT, $0-56
-	MOVQ dstR+0(FP), DI
-	MOVQ dstI+8(FP), SI
-	MOVQ srcR+16(FP), DX
-	MOVQ srcI+24(FP), CX
-	MOVQ n+32(FP), AX
-	VBROADCASTSD cr+40(FP), Y8
-	VBROADCASTSD ci+48(FP), Y9
-	XORQ R8, R8
-cmloop:
-	CMPQ R8, AX
-	JGE  cmdone
-	VMOVUPD (DX)(R8*8), Y0
-	VMOVUPD (CX)(R8*8), Y1
-
-	// re' = ar*cr - ai*ci
-	VMULPD Y0, Y8, Y2
-	VMULPD Y1, Y9, Y3
-	VSUBPD Y3, Y2, Y2
-	VMOVUPD Y2, (DI)(R8*8)
-
-	// im' = ar*ci + ai*cr
-	VMULPD Y0, Y9, Y2
-	VMULPD Y1, Y8, Y3
-	VADDPD Y3, Y2, Y2
-	VMOVUPD Y2, (SI)(R8*8)
-
-	ADDQ $4, R8
-	JMP  cmloop
-cmdone:
-	VZEROUPPER
-	RET
-
 // func cscalePatAVX(re, im *float64, n int, cr, ci *[4]float64)
 // Complex multiply by a 4-lane coefficient pattern (period 2 or 4);
 // n is a multiple of 4 so lane k always sees pattern index k.
@@ -323,25 +268,42 @@ addone:
 	VZEROUPPER
 	RET
 
-// func mul2QAVX(r0, i0, r1, i1, r2, i2, r3, i3 *float64, n int, mm *[32]float64)
-// General 4x4 kernel over four contiguous role streams (run length
-// lo >= 4); n is a multiple of 4. Rows accumulate in matrix-column
-// order via TERM0/TERMN, matching the frozen loop's summation order.
-TEXT ·mul2QAVX(SB), NOSPLIT, $0-80
-	MOVQ r0+0(FP), DI
-	MOVQ i0+8(FP), SI
-	MOVQ r1+16(FP), DX
-	MOVQ i1+24(FP), CX
-	MOVQ r2+32(FP), R9
-	MOVQ i2+40(FP), R10
-	MOVQ r3+48(FP), R11
-	MOVQ i3+56(FP), R12
-	MOVQ n+64(FP), AX
-	MOVQ mm+72(FP), BX
-	XORQ R8, R8
+// func mul2QAVX(re, im *float64, n, b0, b1, lom, him int, mm *[32]float64)
+// General 4x4 kernel on a flat array of n floats (a multiple of 16) for
+// target bits b0, b1 >= 4, whose role streams are runs of 4 or more.
+// Walk index R13 counts the base indices (both bits clear) in ascending
+// order, 4 at a time: base R8 is R13 with a zero bit inserted at the
+// lower bit, then at the higher (lom, him: each bit minus 1), and its
+// four roles sit at R8 from the pointers to offsets 0, b0, b1 and
+// b0+b1. Rows accumulate in matrix-column order via TERM0/TERMN,
+// matching the frozen loop's summation order.
+TEXT ·mul2QAVX(SB), NOSPLIT, $0-64
+	MOVQ re+0(FP), DI
+	MOVQ im+8(FP), SI
+	MOVQ n+16(FP), AX
+	MOVQ b0+24(FP), R8
+	MOVQ b1+32(FP), R9
+	MOVQ mm+56(FP), BX
+	LEAQ (DI)(R8*8), DX
+	LEAQ (SI)(R8*8), CX
+	LEAQ (R8)(R9*1), R13
+	LEAQ (DI)(R13*8), R11
+	LEAQ (SI)(R13*8), R12
+	LEAQ (SI)(R9*8), R10
+	LEAQ (DI)(R9*8), R9
+	SHRQ $2, AX
+	XORQ R13, R13
 m2loop:
-	CMPQ R8, AX
+	CMPQ R13, AX
 	JGE  m2done
+	MOVQ R13, R14
+	ANDQ lom+40(FP), R14
+	LEAQ (R13)(R13*1), R8
+	SUBQ R14, R8
+	MOVQ R8, R14
+	ANDQ him+48(FP), R14
+	ADDQ R8, R8
+	SUBQ R14, R8
 	VMOVUPD (DI)(R8*8), Y0
 	VMOVUPD (SI)(R8*8), Y1
 	VMOVUPD (DX)(R8*8), Y2
@@ -383,147 +345,445 @@ m2loop:
 	VMOVUPD Y8, (R11)(R8*8)
 	VMOVUPD Y9, (R12)(R8*8)
 
-	ADDQ $4, R8
+	ADDQ $4, R13
 	JMP  m2loop
 m2done:
 	VZEROUPPER
 	RET
 
-// func mul2QPairsB0AVX(loR, loI, hiR, hiI *float64, n int, mm *[32]float64)
-// General 4x4 kernel for the lo == 1 layout with q0 (matrix low bit) at
-// qubit 0: each half interleaves two role streams at stride 2. Streams
-// after DEINT: Y0/Y1 lowEven, Y2/Y3 lowOdd, Y4/Y5 highEven, Y6/Y7
-// highOdd; matrix-basis roles are (lowEven, lowOdd, highEven, highOdd).
-// n (floats per half) is a multiple of 8.
-TEXT ·mul2QPairsB0AVX(SB), NOSPLIT, $0-48
-	MOVQ loR+0(FP), DI
-	MOVQ loI+8(FP), SI
-	MOVQ hiR+16(FP), DX
-	MOVQ hiI+24(FP), CX
-	MOVQ n+32(FP), AX
-	MOVQ mm+40(FP), BX
-	XORQ R8, R8
-p0loop:
-	CMPQ R8, AX
-	JGE  p0done
-	DEINT(DI, Y0, Y2)
-	DEINT(SI, Y1, Y3)
-	DEINT(DX, Y4, Y6)
-	DEINT(CX, Y5, Y7)
+// Low-qubit 4x4 kernels. When the lower target qubit is qubit 0 or 1
+// (bit 1 or 2), a role stream is not a contiguous run of 4 or more
+// amplitudes, so these kernels shuffle the role streams out of the flat
+// array in registers and back, one call per flat array. The role order
+// inside a vector decides which stream feeds which matrix column, and
+// the columns always go in matrix-column order (TERM0, then TERMN), so
+// every (b0, b1) order has its own variant and the matrix is never
+// permuted.
 
-	// row 0 -> lowEven', parked in Y14/Y15
-	TERM0(0, 8, Y0, Y1)
-	TERMN(16, 24, Y2, Y3)
-	TERMN(32, 40, Y4, Y5)
-	TERMN(48, 56, Y6, Y7)
-	VMOVAPD Y8, Y14
-	VMOVAPD Y9, Y15
+// ROW4 leaves matrix row R times the role streams in Y8/Y9, summing the
+// terms in matrix-column order over the streams (Y0,Y1), (C1R,C1I),
+// (C2R,C2I) and (Y6,Y7).
+#define ROW4(R, C1R, C1I, C2R, C2I) \
+	TERM0(R*64, R*64+8, Y0, Y1) \
+	TERMN(R*64+16, R*64+24, C1R, C1I) \
+	TERMN(R*64+32, R*64+40, C2R, C2I) \
+	TERMN(R*64+48, R*64+56, Y6, Y7)
 
-	// row 1 -> lowOdd'
-	TERM0(64, 72, Y0, Y1)
-	TERMN(80, 88, Y2, Y3)
-	TERMN(96, 104, Y4, Y5)
-	TERMN(112, 120, Y6, Y7)
-	REPACK(Y14, Y8, DI)
-	REPACK(Y15, Y9, SI)
+// DEINT loads 8 interleaved floats [e0 o0 e1 o1 e2 o2 e3 o3], the
+// first 4 at index R8 of PTR and the other 4 at R9, and splits them into
+// even lanes EV and odd lanes OD. REPACK interleaves them back and
+// stores them there.
+#define DEINT(PTR, EV, OD) \
+	VMOVUPD (PTR)(R8*8), Y10 \
+	VMOVUPD (PTR)(R9*8), Y11 \
+	VPERM2F128 $0x20, Y11, Y10, Y12 \
+	VPERM2F128 $0x31, Y11, Y10, Y13 \
+	VUNPCKLPD Y13, Y12, EV \
+	VUNPCKHPD Y13, Y12, OD
 
-	// row 2 -> highEven', parked in Y14/Y15
-	TERM0(128, 136, Y0, Y1)
-	TERMN(144, 152, Y2, Y3)
-	TERMN(160, 168, Y4, Y5)
-	TERMN(176, 184, Y6, Y7)
-	VMOVAPD Y8, Y14
-	VMOVAPD Y9, Y15
+#define REPACK(EV, OD, PTR) \
+	VUNPCKLPD OD, EV, Y10 \
+	VUNPCKHPD OD, EV, Y11 \
+	VPERM2F128 $0x20, Y11, Y10, Y12 \
+	VPERM2F128 $0x31, Y11, Y10, Y13 \
+	VMOVUPD Y12, (PTR)(R8*8) \
+	VMOVUPD Y13, (PTR)(R9*8)
 
-	// row 3 -> highOdd'
-	TERM0(192, 200, Y0, Y1)
-	TERMN(208, 216, Y2, Y3)
-	TERMN(224, 232, Y4, Y5)
-	TERMN(240, 248, Y6, Y7)
-	REPACK(Y14, Y8, DX)
-	REPACK(Y15, Y9, CX)
-
-	ADDQ $8, R8
-	JMP  p0loop
-p0done:
-	VZEROUPPER
-	RET
-
-// func mul2QPairsB1AVX(loR, loI, hiR, hiI *float64, n int, mm *[32]float64)
-// As mul2QPairsB0AVX but with q1 (matrix high bit) at qubit 0: roles are
-// (lowEven, highEven, lowOdd, highOdd), so matrix columns 1 and 2 swap
-// streams relative to B0, keeping the frozen summation order, and rows
-// pair up as (0,2) -> low half, (1,3) -> high half.
-TEXT ·mul2QPairsB1AVX(SB), NOSPLIT, $0-48
-	MOVQ loR+0(FP), DI
-	MOVQ loI+8(FP), SI
-	MOVQ hiR+16(FP), DX
-	MOVQ hiI+24(FP), CX
-	MOVQ n+32(FP), AX
-	MOVQ mm+40(FP), BX
-	XORQ R8, R8
-p1loop:
-	CMPQ R8, AX
-	JGE  p1done
-	DEINT(DI, Y0, Y2)
-	DEINT(SI, Y1, Y3)
-	DEINT(DX, Y4, Y6)
-	DEINT(CX, Y5, Y7)
-
-	// row 0 -> lowEven', parked in Y14/Y15
-	TERM0(0, 8, Y0, Y1)
-	TERMN(16, 24, Y4, Y5)
-	TERMN(32, 40, Y2, Y3)
-	TERMN(48, 56, Y6, Y7)
-	VMOVAPD Y8, Y14
-	VMOVAPD Y9, Y15
-
-	// row 2 -> lowOdd'
-	TERM0(128, 136, Y0, Y1)
-	TERMN(144, 152, Y4, Y5)
-	TERMN(160, 168, Y2, Y3)
-	TERMN(176, 184, Y6, Y7)
-	REPACK(Y14, Y8, DI)
-	REPACK(Y15, Y9, SI)
-
-	// row 1 -> highEven', parked in Y14/Y15
-	TERM0(64, 72, Y0, Y1)
-	TERMN(80, 88, Y4, Y5)
-	TERMN(96, 104, Y2, Y3)
-	TERMN(112, 120, Y6, Y7)
-	VMOVAPD Y8, Y14
-	VMOVAPD Y9, Y15
-
-	// row 3 -> highOdd'
-	TERM0(192, 200, Y0, Y1)
-	TERMN(208, 216, Y4, Y5)
-	TERMN(224, 232, Y2, Y3)
-	TERMN(240, 248, Y6, Y7)
-	REPACK(Y14, Y8, DX)
-	REPACK(Y15, Y9, CX)
-
-	ADDQ $8, R8
-	JMP  p1loop
-p1done:
-	VZEROUPPER
-	RET
-
-// DEINT2 loads 8 floats [a a b b | a a b b] (two 4-float blocks whose
-// low/high 128-bit halves are the two roles) from PTR+R8*8 and splits
-// them into the low-half stream EV and the high-half stream OD.
+// DEINT2 loads two 4-float blocks [a a b b] at indices R8 and R9 of PTR
+// and splits them into the stream of their low 128-bit halves EV and of
+// their high halves OD. REPACK2 reassembles and stores the blocks.
 #define DEINT2(PTR, EV, OD) \
 	VMOVUPD (PTR)(R8*8), Y10 \
-	VMOVUPD 32(PTR)(R8*8), Y11 \
+	VMOVUPD (PTR)(R9*8), Y11 \
 	VPERM2F128 $0x20, Y11, Y10, EV \
 	VPERM2F128 $0x31, Y11, Y10, OD
 
-// REPACK2 is the inverse of DEINT2: reassembles the two blocks from the
-// role streams and stores them at PTR+R8*8.
 #define REPACK2(EV, OD, PTR) \
 	VPERM2F128 $0x20, OD, EV, Y10 \
 	VPERM2F128 $0x31, OD, EV, Y11 \
 	VMOVUPD Y10, (PTR)(R8*8) \
-	VMOVUPD Y11, 32(PTR)(R8*8)
+	VMOVUPD Y11, (PTR)(R9*8)
+
+// A split 4x4 kernel loads its arguments (re, im, n, hi, mm) into DI,
+// SI, AX, R11 and BX itself, outside any macro: go vet's argument check
+// reads a macro's lines as part of the function above its definition.
+// SPLIT2Q_PROLOGUE then sets DX/CX to the upper halves' re/im (hi
+// floats on), R11 to the run a step walks, max(hi, 8), R13 to the
+// offset of a step's second 4 floats (4, or 8 when hi = 4: the lower
+// halves of two 8-amplitude blocks), and R10, the block start, to 0.
+#define SPLIT2Q_PROLOGUE \
+	LEAQ (DI)(R11*8), DX \
+	LEAQ (SI)(R11*8), CX \
+	MOVQ $4, R13 \
+	MOVQ $8, R14 \
+	CMPQ R11, $4 \
+	CMOVQEQ R14, R13 \
+	CMOVQEQ R14, R11 \
+	XORQ R10, R10
+
+// SPLIT2Q is the loop of a split 4x4 kernel. Blocks of 2*R11 floats
+// start at R10; each step splits 8 floats of a block's lower half (at R8
+// and R9 = R8 + R13) and the 8 across from them in the upper half into
+// four role streams with DE (DEINT: qubit 0 interleaved at stride 2;
+// DEINT2: qubit 1, the 128-bit halves of each 4-amplitude block):
+// Y0/Y1 lower-clear, Y2/Y3 lower-set, Y4/Y5 upper-clear, Y6/Y7
+// upper-set, "set" naming the lower qubit. (C1R,C1I) and (C2R,C2I) feed
+// matrix columns 1 and 2, and rows RA, RB go back to the lower half
+// (clear, set) and RC, RD to the upper half through RP.
+#define SPLIT2Q(DE, RP, C1R, C1I, C2R, C2I, RA, RB, RC, RD, L0, L1, L2) \
+L0: \
+	CMPQ R10, AX \
+	JGE  L2 \
+	MOVQ R10, R8 \
+	LEAQ (R10)(R11*1), R12 \
+	PCALIGN $32 \
+L1: \
+	LEAQ (R8)(R13*1), R9 \
+	DE(DI, Y0, Y2) \
+	DE(SI, Y1, Y3) \
+	DE(DX, Y4, Y6) \
+	DE(CX, Y5, Y7) \
+	ROW4(RA, C1R, C1I, C2R, C2I) \
+	VMOVAPD Y8, Y14 \
+	VMOVAPD Y9, Y15 \
+	ROW4(RB, C1R, C1I, C2R, C2I) \
+	RP(Y14, Y8, DI) \
+	RP(Y15, Y9, SI) \
+	ROW4(RC, C1R, C1I, C2R, C2I) \
+	VMOVAPD Y8, Y14 \
+	VMOVAPD Y9, Y15 \
+	ROW4(RD, C1R, C1I, C2R, C2I) \
+	RP(Y14, Y8, DX) \
+	RP(Y15, Y9, CX) \
+	ADDQ $8, R8 \
+	CMPQ R8, R12 \
+	JLT  L1 \
+	LEAQ (R10)(R11*2), R10 \
+	JMP  L0 \
+L2: \
+	VZEROUPPER \
+	RET
+
+// func mul2QPairsB0AVX(re, im *float64, n, hi int, mm *[32]float64)
+// General 4x4 kernel on a flat array of n floats for qubit 0 (bit 1) as
+// q0, the matrix low bit, and the qubit at bit hi >= 4 as q1. Roles
+// (lower-even, lower-odd, upper-even, upper-odd) are matrix columns
+// 0-3. n is a multiple of 16 and of 2*hi.
+TEXT ·mul2QPairsB0AVX(SB), NOSPLIT, $0-40
+	MOVQ re+0(FP), DI
+	MOVQ im+8(FP), SI
+	MOVQ n+16(FP), AX
+	MOVQ hi+24(FP), R11
+	MOVQ mm+32(FP), BX
+	SPLIT2Q_PROLOGUE
+	SPLIT2Q(DEINT, REPACK, Y2, Y3, Y4, Y5, 0, 1, 2, 3, pb0blk, pb0loop, pb0done)
+
+// func mul2QPairsB1AVX(re, im *float64, n, hi int, mm *[32]float64)
+// As mul2QPairsB0AVX with qubit 0 as q1, the matrix high bit: columns 1
+// and 2 read the upper-even and lower-odd streams, and rows (0, 2) go to
+// the lower half, (1, 3) to the upper.
+TEXT ·mul2QPairsB1AVX(SB), NOSPLIT, $0-40
+	MOVQ re+0(FP), DI
+	MOVQ im+8(FP), SI
+	MOVQ n+16(FP), AX
+	MOVQ hi+24(FP), R11
+	MOVQ mm+32(FP), BX
+	SPLIT2Q_PROLOGUE
+	SPLIT2Q(DEINT, REPACK, Y4, Y5, Y2, Y3, 0, 2, 1, 3, pb1blk, pb1loop, pb1done)
+
+// func mul2QGap2B0AVX(re, im *float64, n, hi int, mm *[32]float64)
+// mul2QPairsB0AVX for qubit 1 (bit 2) as q0: each 4-amplitude block is
+// [clear clear set set], so the roles are 128-bit halves.
+TEXT ·mul2QGap2B0AVX(SB), NOSPLIT, $0-40
+	MOVQ re+0(FP), DI
+	MOVQ im+8(FP), SI
+	MOVQ n+16(FP), AX
+	MOVQ hi+24(FP), R11
+	MOVQ mm+32(FP), BX
+	SPLIT2Q_PROLOGUE
+	SPLIT2Q(DEINT2, REPACK2, Y2, Y3, Y4, Y5, 0, 1, 2, 3, gb0blk, gb0loop, gb0done)
+
+// func mul2QGap2B1AVX(re, im *float64, n, hi int, mm *[32]float64)
+// mul2QPairsB1AVX for qubit 1 (bit 2) as q1.
+TEXT ·mul2QGap2B1AVX(SB), NOSPLIT, $0-40
+	MOVQ re+0(FP), DI
+	MOVQ im+8(FP), SI
+	MOVQ n+16(FP), AX
+	MOVQ hi+24(FP), R11
+	MOVQ mm+32(FP), BX
+	SPLIT2Q_PROLOGUE
+	SPLIT2Q(DEINT2, REPACK2, Y4, Y5, Y2, Y3, 0, 2, 1, 3, gb1blk, gb1loop, gb1done)
+
+// QUADTERM adds matrix column C's term to the accumulators Y4/Y5: the
+// amplitude in block lane L, broadcast to every lane, times the column
+// (CR, CI), whose lane l holds the entry of the row lane l's role.
+#define QUADTERM(L, CR, CI) \
+	VPERMPD L, Y0, Y2 \
+	VPERMPD L, Y1, Y3 \
+	VMULPD Y2, CR, Y6 \
+	VMULPD Y3, CI, Y7 \
+	VSUBPD Y7, Y6, Y6 \
+	VADDPD Y6, Y4, Y4 \
+	VMULPD Y3, CR, Y6 \
+	VMULPD Y2, CI, Y7 \
+	VADDPD Y7, Y6, Y6 \
+	VADDPD Y6, Y5, Y5
+
+// MUL2QQUAD is the body of the qubits-0-and-1 kernels. Each 4-amplitude
+// block holds one base's four roles, so a vector is one base: lane l
+// holds the role k(l), and L1/L2 name the lanes of roles 1 and 2. The
+// columns sit in Y8-Y15 (column c's real parts, then its imaginary
+// parts, with lane l holding row k(l)), so each block takes four
+// broadcast terms in matrix-column order: with lane l of the result row
+// k(l), that is scalarMul2Q's row sum. DI/SI hold re/im, AX n and BX
+// the columns.
+#define MUL2QQUAD(L1, L2, L0, LD) \
+	VMOVUPD 0(BX), Y8 \
+	VMOVUPD 32(BX), Y9 \
+	VMOVUPD 64(BX), Y10 \
+	VMOVUPD 96(BX), Y11 \
+	VMOVUPD 128(BX), Y12 \
+	VMOVUPD 160(BX), Y13 \
+	VMOVUPD 192(BX), Y14 \
+	VMOVUPD 224(BX), Y15 \
+	XORQ R8, R8 \
+L0: \
+	CMPQ R8, AX \
+	JGE  LD \
+	VMOVUPD (DI)(R8*8), Y0 \
+	VMOVUPD (SI)(R8*8), Y1 \
+	VPERMPD $0x00, Y0, Y2 \
+	VPERMPD $0x00, Y1, Y3 \
+	VMULPD Y2, Y8, Y4 \
+	VMULPD Y3, Y9, Y6 \
+	VSUBPD Y6, Y4, Y4 \
+	VMULPD Y3, Y8, Y5 \
+	VMULPD Y2, Y9, Y6 \
+	VADDPD Y6, Y5, Y5 \
+	QUADTERM(L1, Y10, Y11) \
+	QUADTERM(L2, Y12, Y13) \
+	QUADTERM($0xFF, Y14, Y15) \
+	VMOVUPD Y4, (DI)(R8*8) \
+	VMOVUPD Y5, (SI)(R8*8) \
+	ADDQ $4, R8 \
+	JMP  L0 \
+LD: \
+	VZEROUPPER \
+	RET
+
+// func mul2QQuadB0AVX(re, im *float64, n int, cols *[32]float64)
+// General 4x4 kernel for q0 = qubit 0 and q1 = qubit 1: block lane l is
+// role l. n is a multiple of 4.
+TEXT ·mul2QQuadB0AVX(SB), NOSPLIT, $0-32
+	MOVQ re+0(FP), DI
+	MOVQ im+8(FP), SI
+	MOVQ n+16(FP), AX
+	MOVQ cols+24(FP), BX
+	MUL2QQUAD($0x55, $0xAA, qb0loop, qb0done)
+
+// func mul2QQuadB1AVX(re, im *float64, n int, cols *[32]float64)
+// As mul2QQuadB0AVX for q0 = qubit 1 and q1 = qubit 0: block lanes 1
+// and 2 hold roles 2 and 1.
+TEXT ·mul2QQuadB1AVX(SB), NOSPLIT, $0-32
+	MOVQ re+0(FP), DI
+	MOVQ im+8(FP), SI
+	MOVQ n+16(FP), AX
+	MOVQ cols+24(FP), BX
+	MUL2QQUAD($0xAA, $0x55, qb1loop, qb1done)
+
+// GSCALE multiplies (Y0, Y1) = (ar, ai) by (Y8 + Y9 i) with
+// cscaleAVX's expressions (re' = ar*cr - ai*ci, im' = ar*ci + ai*cr)
+// and stores the result at index R9 of DI/SI.
+#define GSCALE \
+	VMULPD Y0, Y8, Y2 \
+	VMULPD Y1, Y9, Y3 \
+	VSUBPD Y3, Y2, Y2 \
+	VMOVUPD Y2, (DI)(R9*8) \
+	VMULPD Y0, Y9, Y2 \
+	VMULPD Y1, Y8, Y3 \
+	VADDPD Y3, Y2, Y2 \
+	VMOVUPD Y2, (SI)(R9*8)
+
+// GPAIRS gathers for bit 1: UNPCK (VUNPCKLPD for outcome 0, VUNPCKHPD
+// for 1) keeps the even or odd amplitudes of 8 source floats, in the
+// order [0 2 1 3], and VPERMPD puts them back in order.
+#define GPAIRS(UNPCK, L0, L1) \
+L0: \
+	CMPQ R8, AX \
+	JGE  L1 \
+	VMOVUPD (DX)(R8*8), Y0 \
+	VMOVUPD 32(DX)(R8*8), Y2 \
+	UNPCK Y2, Y0, Y0 \
+	VPERMPD $0xD8, Y0, Y0 \
+	VMOVUPD (CX)(R8*8), Y1 \
+	VMOVUPD 32(CX)(R8*8), Y3 \
+	UNPCK Y3, Y1, Y1 \
+	VPERMPD $0xD8, Y1, Y1 \
+	GSCALE \
+	ADDQ $8, R8 \
+	ADDQ $4, R9 \
+	JMP  L0 \
+L1:
+
+// GBLOCKS gathers for bit 2: IMM ($0x20 for outcome 0, $0x31 for 1)
+// keeps the first or second 128-bit half of two 4-amplitude blocks.
+#define GBLOCKS(IMM, L0, L1) \
+L0: \
+	CMPQ R8, AX \
+	JGE  L1 \
+	VMOVUPD (DX)(R8*8), Y2 \
+	VMOVUPD 32(DX)(R8*8), Y3 \
+	VPERM2F128 IMM, Y3, Y2, Y0 \
+	VMOVUPD (CX)(R8*8), Y2 \
+	VMOVUPD 32(CX)(R8*8), Y3 \
+	VPERM2F128 IMM, Y3, Y2, Y1 \
+	GSCALE \
+	ADDQ $8, R8 \
+	ADDQ $4, R9 \
+	JMP  L0 \
+L1:
+
+// func gatherScaleAVX(dstR, dstI, srcR, srcI *float64, n, bit, outcome int, scale float64)
+// gatherScale in one pass: the n source floats (a multiple of 8) keep
+// the amplitudes whose bit equals outcome, scaled by (scale + 0i) as
+// they are stored, in ascending order. dst may alias src at or below
+// it: each step stores 4 floats at or below the 8 (4 for bit >= 4) it
+// has just read, and reads nothing below them later.
+TEXT ·gatherScaleAVX(SB), NOSPLIT, $0-64
+	MOVQ dstR+0(FP), DI
+	MOVQ dstI+8(FP), SI
+	MOVQ srcR+16(FP), DX
+	MOVQ srcI+24(FP), CX
+	MOVQ n+32(FP), AX
+	MOVQ bit+40(FP), R11
+	MOVQ outcome+48(FP), R13
+	VBROADCASTSD scale+56(FP), Y8
+	VXORPD Y9, Y9, Y9
+	XORQ R8, R8
+	XORQ R9, R9
+	CMPQ R11, $2
+	JEQ  gsbit2
+	JGT  gswide
+	CMPQ R13, $0
+	JNE  gsodd
+	GPAIRS(VUNPCKLPD, gseven, gsevend)
+	JMP  gsdone
+gsodd:
+	GPAIRS(VUNPCKHPD, gsodl, gsodd2)
+	JMP  gsdone
+gsbit2:
+	CMPQ R13, $0
+	JNE  gsset
+	GBLOCKS($0x20, gsclr, gsclrd)
+	JMP  gsdone
+gsset:
+	GBLOCKS($0x31, gssetl, gssetd)
+	JMP  gsdone
+gswide:
+	// Runs of bit >= 4 amplitudes, one after another: R8 walks the
+	// source from the outcome's half on and skips the other half after
+	// each run; R12 is where the run ends in dst.
+	IMULQ R11, R13
+	LEAQ (DX)(R13*8), DX
+	LEAQ (CX)(R13*8), CX
+	SHRQ $1, AX
+gsrun:
+	CMPQ R9, AX
+	JGE  gsdone
+	LEAQ (R9)(R11*1), R12
+gswloop:
+	VMOVUPD (DX)(R8*8), Y0
+	VMOVUPD (CX)(R8*8), Y1
+	GSCALE
+	ADDQ $4, R8
+	ADDQ $4, R9
+	CMPQ R9, R12
+	JLT  gswloop
+	ADDQ R11, R8
+	JMP  gsrun
+gsdone:
+	VZEROUPPER
+	RET
+
+// func enterSpreadAVX(re, im *float64, size, bit int)
+// enterSpread in one pass: each 4 floats of the first size (a multiple
+// of 4) move to their index with a zero bit inserted at `bit`, and the
+// amplitudes with that bit set become +0. It runs top down, so every
+// source vector is read before a store lands on it: each step stores at
+// or above the index it reads.
+TEXT ·enterSpreadAVX(SB), NOSPLIT, $0-32
+	MOVQ re+0(FP), DI
+	MOVQ im+8(FP), SI
+	MOVQ size+16(FP), R8
+	MOVQ bit+24(FP), R11
+	VXORPD Y9, Y9, Y9
+	SUBQ $4, R8
+	CMPQ R11, $2
+	JEQ  esbit2
+	JGT  eswide
+esb1:
+	// [a b c d] -> [a 0 b 0], [c 0 d 0] at twice the index.
+	CMPQ R8, $0
+	JLT  esdone
+	LEAQ (R8)(R8*1), R9
+	VPERMPD $0xD8, (DI)(R8*8), Y0
+	VPERMPD $0xD8, (SI)(R8*8), Y1
+	VUNPCKLPD Y9, Y0, Y2
+	VUNPCKHPD Y9, Y0, Y3
+	VMOVUPD Y2, (DI)(R9*8)
+	VMOVUPD Y3, 32(DI)(R9*8)
+	VUNPCKLPD Y9, Y1, Y2
+	VUNPCKHPD Y9, Y1, Y3
+	VMOVUPD Y2, (SI)(R9*8)
+	VMOVUPD Y3, 32(SI)(R9*8)
+	SUBQ $4, R8
+	JMP  esb1
+esbit2:
+	// [a b c d] -> [a b 0 0], [c d 0 0] at twice the index.
+	CMPQ R8, $0
+	JLT  esdone
+	LEAQ (R8)(R8*1), R9
+	VMOVUPD (DI)(R8*8), Y0
+	VMOVUPD (SI)(R8*8), Y1
+	VPERM2F128 $0x20, Y9, Y0, Y2
+	VPERM2F128 $0x21, Y9, Y0, Y3
+	VMOVUPD Y2, (DI)(R9*8)
+	VMOVUPD Y3, 32(DI)(R9*8)
+	VPERM2F128 $0x20, Y9, Y1, Y2
+	VPERM2F128 $0x21, Y9, Y1, Y3
+	VMOVUPD Y2, (SI)(R9*8)
+	VMOVUPD Y3, 32(SI)(R9*8)
+	SUBQ $4, R8
+	JMP  esbit2
+eswide:
+	// Runs of bit >= 4, top down: the run at R10 moves to R9 = 2*R10
+	// and +0 fills the run at R9 + bit; R8 walks the run's vectors down
+	// from its top.
+	LEAQ (DI)(R11*8), DX
+	LEAQ (SI)(R11*8), CX
+	ADDQ $4, R8
+	SUBQ R11, R8
+	MOVQ R8, R10
+esrun:
+	CMPQ R10, $0
+	JLT  esdone
+	LEAQ -4(R11), R8
+eswloop:
+	LEAQ (R10)(R8*1), R12
+	LEAQ (R12)(R10*1), R9
+	VMOVUPD (DI)(R12*8), Y0
+	VMOVUPD (SI)(R12*8), Y1
+	VMOVUPD Y0, (DI)(R9*8)
+	VMOVUPD Y1, (SI)(R9*8)
+	VMOVUPD Y9, (DX)(R9*8)
+	VMOVUPD Y9, (CX)(R9*8)
+	SUBQ $4, R8
+	JGE  eswloop
+	SUBQ R11, R10
+	JMP  esrun
+esdone:
+	VZEROUPPER
+	RET
 
 // MUL1Q_FLAT computes the general 2x2 update on deinterleaved streams
 // Y0 (a0r), Y1 (a0i), Y2 (a1r), Y3 (a1i), leaving loR'/loI'/hiR'/hiI'
@@ -599,6 +859,7 @@ TEXT ·mul1QPairsAVX(SB), NOSPLIT, $0-32
 q1ploop:
 	CMPQ R8, AX
 	JGE  q1pdone
+	LEAQ 4(R8), R9
 	DEINT(DI, Y0, Y2)
 	DEINT(SI, Y1, Y3)
 	MUL1Q_FLAT
@@ -623,6 +884,7 @@ TEXT ·mul1QGap2AVX(SB), NOSPLIT, $0-32
 q1gloop:
 	CMPQ R8, AX
 	JGE  q1gdone
+	LEAQ 4(R8), R9
 	DEINT2(DI, Y0, Y2)
 	DEINT2(SI, Y1, Y3)
 	MUL1Q_FLAT
@@ -650,6 +912,7 @@ TEXT ·antiPairsAVX(SB), NOSPLIT, $0-32
 adploop:
 	CMPQ R8, AX
 	JGE  adpdone
+	LEAQ 4(R8), R9
 	DEINT(DI, Y0, Y2)
 	DEINT(SI, Y1, Y3)
 	ANTI_FLAT
@@ -677,6 +940,7 @@ TEXT ·antiGap2AVX(SB), NOSPLIT, $0-32
 adgloop:
 	CMPQ R8, AX
 	JGE  adgdone
+	LEAQ 4(R8), R9
 	DEINT2(DI, Y0, Y2)
 	DEINT2(SI, Y1, Y3)
 	ANTI_FLAT

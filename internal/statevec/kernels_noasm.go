@@ -25,10 +25,6 @@ func cscaleAVX(re, im *float64, n int, cr, ci float64) {
 	panic("statevec: AVX2 kernel on scalar-only build")
 }
 
-func cscaleMoveAVX(dstR, dstI, srcR, srcI *float64, n int, cr, ci float64) {
-	panic("statevec: AVX2 kernel on scalar-only build")
-}
-
 func cscalePatAVX(re, im *float64, n int, cr, ci *[4]float64) {
 	panic("statevec: AVX2 kernel on scalar-only build")
 }
@@ -37,15 +33,39 @@ func antiAVX(loR, loI, hiR, hiI *float64, n int, c *[4]float64) {
 	panic("statevec: AVX2 kernel on scalar-only build")
 }
 
-func mul2QAVX(r0, i0, r1, i1, r2, i2, r3, i3 *float64, n int, mm *[32]float64) {
+func mul2QAVX(re, im *float64, n, b0, b1, lom, him int, mm *[32]float64) {
 	panic("statevec: AVX2 kernel on scalar-only build")
 }
 
-func mul2QPairsB0AVX(loR, loI, hiR, hiI *float64, n int, mm *[32]float64) {
+func mul2QPairsB0AVX(re, im *float64, n, hi int, mm *[32]float64) {
 	panic("statevec: AVX2 kernel on scalar-only build")
 }
 
-func mul2QPairsB1AVX(loR, loI, hiR, hiI *float64, n int, mm *[32]float64) {
+func mul2QPairsB1AVX(re, im *float64, n, hi int, mm *[32]float64) {
+	panic("statevec: AVX2 kernel on scalar-only build")
+}
+
+func mul2QGap2B0AVX(re, im *float64, n, hi int, mm *[32]float64) {
+	panic("statevec: AVX2 kernel on scalar-only build")
+}
+
+func mul2QGap2B1AVX(re, im *float64, n, hi int, mm *[32]float64) {
+	panic("statevec: AVX2 kernel on scalar-only build")
+}
+
+func mul2QQuadB0AVX(re, im *float64, n int, cols *[32]float64) {
+	panic("statevec: AVX2 kernel on scalar-only build")
+}
+
+func mul2QQuadB1AVX(re, im *float64, n int, cols *[32]float64) {
+	panic("statevec: AVX2 kernel on scalar-only build")
+}
+
+func gatherScaleAVX(dstR, dstI, srcR, srcI *float64, n, bit, outcome int, scale float64) {
+	panic("statevec: AVX2 kernel on scalar-only build")
+}
+
+func enterSpreadAVX(re, im *float64, size, bit int) {
 	panic("statevec: AVX2 kernel on scalar-only build")
 }
 

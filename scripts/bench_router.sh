@@ -20,8 +20,10 @@ case "$OUT" in
 *) ABS="$(pwd)/$OUT" ;;
 esac
 
+# A failed bar fails the script (pipefail); the report is still
+# written, for inspection.
 EDM_BENCH_ROUTER_OUT="$ABS" go test -run 'TestRouterBenchReport$' -v -count=1 ./internal/mapper |
-	grep -v '^=== RUN\|^--- PASS' || true
+	grep -v '^=== RUN\|^--- PASS'
 
 if [ ! -s "$ABS" ]; then
 	echo "bench_router: report was not written" >&2

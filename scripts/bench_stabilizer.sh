@@ -21,8 +21,10 @@ case "$OUT" in
 *) ABS="$(pwd)/$OUT" ;;
 esac
 
+# A failed bar fails the script (pipefail); the report is still
+# written, for inspection.
 EDM_BENCH_STABILIZER_OUT="$ABS" go test -run 'TestStabilizerBenchReport$' -v -count=1 -timeout 30m ./internal/backend |
-	grep -v '^=== RUN\|^--- PASS' || true
+	grep -v '^=== RUN\|^--- PASS'
 
 if [ ! -s "$ABS" ]; then
 	echo "bench_stabilizer: report was not written" >&2

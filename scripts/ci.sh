@@ -210,8 +210,10 @@ go test -race -count=1 ./internal/stabilizer ./internal/bitset
 echo "== statevec kernel bit-identity (SoA + AVX2 vs frozen scalar) =="
 # The SoA kernels must pin every amplitude bit against the frozen
 # complex128 loops on both the scalar and (where available) AVX2 paths,
-# and the fused population passes (pending diagonal updates, several
-# lanes per pass, reused projection norms) against the unfused calls.
-go test -count=1 -run 'KernelsBitIdentical|PopArgsLayout|PopsAfter|ApplyDiags|PopsLanes|CollapseReusesNorm' ./internal/statevec
+# the low-qubit layouts exhaustively (every ordered pair of a dense 4x4,
+# drops and entries on qubits 0-3, 1-5 lanes), and the fused population
+# passes (pending diagonal updates, several lanes per pass, reused
+# projection norms) against the unfused calls.
+go test -count=1 -run 'KernelsBitIdentical|Apply2QEveryPair|LowQubitsBitIdentical|PopArgsLayout|PopsAfter|ApplyDiags|PopsLanes|CollapseReusesNorm' ./internal/statevec
 
 echo "CI OK"
