@@ -24,7 +24,9 @@ import (
 // measured work: these benchmarks loop identical figures per iteration,
 // and with the campaign memoization layer on (DESIGN.md §9) every
 // iteration after the first would measure cache hits instead of the
-// compile and simulation work the numbers are frozen against. The
+// compile and simulation work the numbers are frozen against. Each
+// NoCache round builds a plain compiler, so every Round call also pays
+// the compiler's table construction (about 60 µs on melbourne). The
 // cached path is benchmarked end-to-end by perfbench's campaign
 // workload.
 func benchSetup() experiment.Setup {

@@ -215,18 +215,15 @@ func startProfiles(cpuOut, memOut string) func() {
 }
 
 // printCacheStats reports the campaign memoization counters (DESIGN.md
-// §9): the Round cache, the compiler and Top-K ensemble caches, and the
+// §9): the Round cache, the rounds' Top-K ensemble caches, and the
 // per-machine backend caches aggregated across cached rounds.
 func printCacheStats(out *os.File) {
 	round := experiment.RoundCacheStats()
-	comp := mapper.CompilerCacheStats()
 	topk := mapper.TopKCacheStats()
 	prog, run := experiment.BackendCacheStats()
 	fmt.Fprintln(out, "campaign cache stats:")
 	fmt.Fprintf(out, "  %-14s hits %-8d misses %-6d waits %-4d evictions %-4d entries %d\n",
 		"round", round.Hits, round.Misses, round.Waits, round.Evictions, round.Entries)
-	fmt.Fprintf(out, "  %-14s hits %-8d misses %-6d waits %-4d evictions %-4d entries %d\n",
-		"compiler", comp.Hits, comp.Misses, comp.Waits, comp.Evictions, comp.Entries)
 	fmt.Fprintf(out, "  %-14s hits %-8d misses %-6d waits %-4d evictions %-4d entries %d\n",
 		"topk", topk.Hits, topk.Misses, topk.Waits, topk.Evictions, topk.Entries)
 	fmt.Fprintf(out, "  %-14s hits %-8d misses %-6d waits %-4d evictions %-4d entries %d\n",

@@ -46,46 +46,28 @@ type Machine struct {
 	// runs memoizes whole trial runs by (circuit, trials, RNG state);
 	// nil unless EnableRunCache was called. See runcache.go.
 	runs *memo.Cache[*runEntry]
-	// engine selects the Monte-Carlo execution strategy; the zero value
-	// is the prefix-sharing engine (see prefix.go).
-	engine TrajectoryEngine
+	// engine swaps the default engine for a reference; tests set it
+	// before the machine is shared across goroutines.
+	engine engineRef
 }
 
-// TrajectoryEngine selects how Run turns a compiled program into trial
-// outcomes.
-type TrajectoryEngine uint8
+// engineRef names the trajectory engine a Run uses. The default runs
+// fully-Clifford schedules on the stabilizer tableau (stab.go) and the
+// rest on the tape-tree statevector engine (prefix.go, sched.go); the
+// other two are references that only tests select.
+type engineRef uint8
 
 const (
-	// EnginePrefixSharing (the default) executes the dominant stochastic
-	// path once per program and replays trials against its recorded
-	// branch thresholds, simulating only each trial's post-divergence
-	// suffix. Output histograms are byte-identical to EngineLegacy at
-	// any GOMAXPROCS; see prefix.go for the soundness argument.
-	EnginePrefixSharing TrajectoryEngine = iota
-	// EngineLegacy runs every trial's full trajectory from |0...0>. It
-	// is kept as the frozen baseline for benchmarks and as a
-	// cross-check in the byte-identity tests. It never uses the
-	// stabilizer fast path.
-	EngineLegacy
-	// EngineStabilizer is the strict tableau engine: fully-Clifford
-	// schedules run on the stabilizer tableau (stab.go), anything else
-	// is an error. Use it to assert that a campaign actually gets the
-	// fast path instead of silently paying for statevectors.
-	EngineStabilizer
-	// EngineStatevector pins the tape-tree statevector engine even for
-	// fully-Clifford programs that the default engine would route to
-	// the tableau. Benchmarks use it to keep frozen baselines measuring
-	// statevector work.
-	EngineStatevector
+	engineDefault engineRef = iota
+	// engineLegacy runs every trial's full trajectory from |0...0> and
+	// never the tableau: the oracle the byte-identity tests compare the
+	// default engine with.
+	engineLegacy
+	// engineStatevector runs the tape-tree statevector engine even on
+	// fully-Clifford schedules, the reference the tableau is checked and
+	// timed against.
+	engineStatevector
 )
-
-// SetTrajectoryEngine selects the trial execution strategy. Like
-// EnableRunCache it must be called before the machine is shared across
-// goroutines; it is not safe to race with Run.
-func (m *Machine) SetTrajectoryEngine(e TrajectoryEngine) { m.engine = e }
-
-// Engine returns the machine's trajectory engine.
-func (m *Machine) Engine() TrajectoryEngine { return m.engine }
 
 // New returns a machine with the given runtime calibration. The
 // calibration passed here may differ from the one the compiler used — that
@@ -425,7 +407,7 @@ func (m *Machine) runFresh(ctx context.Context, exe *circuit.Circuit, trials int
 
 // runProgram executes a compiled program for the given number of trials.
 // Prefix-planned programs run the batched replay engine (sched.go);
-// stabilizer programs and the legacy loop (EngineLegacy) stripe their
+// stabilizer programs and the legacy loop (engineLegacy) stripe their
 // trials statically: worker w owns trials w, w+workers, w+2*workers, ...
 // A non-nil cancel flag makes the trial loops stop early once it flips
 // true; the partial histogram is then discarded by the caller, so the

@@ -415,7 +415,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 	c := circuit.New(14, 3)
 	c.H(0).CX(0, 1).CX(1, 2).T(2).H(2).Measure(0, 0).Measure(1, 1).Measure(2, 2)
 	legacy := noisyMachine(41)
-	legacy.SetTrajectoryEngine(EngineLegacy)
+	legacy.engine = engineLegacy
 	loops := []struct {
 		name string
 		m    *Machine

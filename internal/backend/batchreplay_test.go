@@ -84,7 +84,7 @@ func TestBatchedReplayDrawOperands(t *testing.T) {
 	compared := 0
 	for _, tc := range cases {
 		m := New(calFor(tc))
-		m.SetTrajectoryEngine(EngineStatevector)
+		m.engine = engineStatevector
 		prog, err := m.getProgram(tc.circuit)
 		if err != nil {
 			t.Fatalf("%s: compile: %v", tc.name, err)

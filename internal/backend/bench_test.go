@@ -80,7 +80,7 @@ func BenchmarkRunTrajectory(b *testing.B) {
 func BenchmarkTrajectoryEngine(b *testing.B) {
 	for _, nq := range []int{6, 10, 14} {
 		m := noisyMachine(7)
-		m.SetTrajectoryEngine(EngineStatevector)
+		m.engine = engineStatevector
 		exe := benchCircuit(nq)
 		prog, err := m.getProgram(exe)
 		if err != nil {
@@ -134,7 +134,7 @@ func BenchmarkTrajectoryEngine(b *testing.B) {
 // schedules.
 func BenchmarkRunParallel(b *testing.B) {
 	m := noisyMachine(7)
-	m.SetTrajectoryEngine(EngineStatevector)
+	m.engine = engineStatevector
 	exe := benchCircuit(10)
 	const trials = 2048
 	b.ReportAllocs()

@@ -199,7 +199,7 @@ func randomDropCircuit(seed uint64) *circuit.Circuit {
 // TestTerminalDropIdentity pins the dropping engine to the full-register
 // oracle on circuits where dropping happens only partly or runs the
 // register down to width 0: the default engine (batched replay) and
-// EngineLegacy must produce byte-equal Counts at 100 (serial) and 2000
+// engineLegacy must produce byte-equal Counts at 100 (serial) and 2000
 // (parallel) trials. ci.sh runs it in both the trajectory-engine and
 // batched-replay gates.
 func TestTerminalDropIdentity(t *testing.T) {
@@ -219,7 +219,7 @@ func TestTerminalDropIdentity(t *testing.T) {
 		}
 		for _, trials := range []int{100, 2000} {
 			legacy := New(cal)
-			legacy.SetTrajectoryEngine(EngineLegacy)
+			legacy.engine = engineLegacy
 			want, err := legacy.Run(tc.circuit, trials, rng.New(77))
 			if err != nil {
 				t.Fatalf("%s legacy run: %v", tc.name, err)
@@ -229,7 +229,7 @@ func TestTerminalDropIdentity(t *testing.T) {
 				t.Fatalf("%s run: %v", tc.name, err)
 			}
 			if !countsEqual(want, got) {
-				t.Errorf("%s (%d trials): Counts differ from EngineLegacy", tc.name, trials)
+				t.Errorf("%s (%d trials): Counts differ from engineLegacy", tc.name, trials)
 			}
 		}
 	}

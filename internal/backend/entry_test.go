@@ -15,7 +15,7 @@ import (
 // full-register oracle: on circuits whose qubits meet crosstalk, idle
 // damping, a diagonal gate or a measurement before they enter — and on
 // seeded random circuits with measurements at random points — the
-// default engine (batched replay) and EngineLegacy must produce
+// default engine (batched replay) and engineLegacy must produce
 // byte-equal Counts at 100 (serial) and 2000 (parallel) trials. ci.sh
 // runs it in both the trajectory-engine and batched-replay gates.
 func TestLazyEntryIdentity(t *testing.T) {
@@ -42,7 +42,7 @@ func TestLazyEntryIdentity(t *testing.T) {
 		}
 		for _, trials := range []int{100, 2000} {
 			legacy := New(cal)
-			legacy.SetTrajectoryEngine(EngineLegacy)
+			legacy.engine = engineLegacy
 			want, err := legacy.Run(tc.circuit, trials, rng.New(77))
 			if err != nil {
 				t.Fatalf("%s legacy run: %v", tc.name, err)
@@ -52,7 +52,7 @@ func TestLazyEntryIdentity(t *testing.T) {
 				t.Fatalf("%s run: %v", tc.name, err)
 			}
 			if !countsEqual(want, got) {
-				t.Errorf("%s (%d trials): Counts differ from EngineLegacy", tc.name, trials)
+				t.Errorf("%s (%d trials): Counts differ from engineLegacy", tc.name, trials)
 			}
 		}
 	}
@@ -249,7 +249,7 @@ func denseState(w int, r *rng.RNG) *statevec.State {
 }
 
 // TestLazyEntryMatchesExact checks the default engine against an
-// absolute oracle. EngineLegacy shares its kernels with the lazy
+// absolute oracle. engineLegacy shares its kernels with the lazy
 // register, so a kernel mistake would pass the identity test; the
 // density-matrix engine shares none of them. A grey-code decoder on a
 // melbourne path brings its qubits in one CX at a time, most of them

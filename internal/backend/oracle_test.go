@@ -12,7 +12,7 @@ import (
 
 // TestDefaultEngineMatchesExact checks the default engine against an
 // absolute oracle on the paper's workloads. Every identity gate compares
-// the default engine with EngineLegacy, and both share the statevec
+// the default engine with engineLegacy, and both share the statevec
 // kernels; the density-matrix engine behind ExactDist shares none of
 // them, so a mistake common to both trajectory engines shows here. The
 // cases are the nine Table-1 workloads, members 0 and 3 of a Top-4

@@ -16,7 +16,7 @@ import (
 // amplitude as it sums. Any other use of the register flushes the list
 // first through the diagonal kernels the legacy loop runs, so every
 // amplitude, branch probability and projection norm stays bit-identical
-// to EngineLegacy's.
+// to engineLegacy's.
 
 // dampChan is one two-operator channel of a damping step, classified
 // when the step is compiled so trials never re-inspect its matrices.

@@ -245,7 +245,7 @@ func (p *prefixPlan) at(i int) (q0, q1 int, drop bool) {
 // Both orders are monotone in the full register's index, so every kept
 // amplitude, branch probability and projection norm is bit-identical to
 // the full-register run, whose extra amplitudes are exact zeros.
-// EngineLegacy and ExactDist keep running prog.steps on the full
+// engineLegacy and ExactDist keep running prog.steps on the full
 // register.
 func registerSchedule(prog *program) []regStep {
 	last := make([]int, prog.nLocal) // last step touching each local qubit
@@ -472,7 +472,7 @@ func ResetEngineStats() {
 // planFor returns the program's prefix plan, building it on first use.
 // It returns nil exactly when the machine runs the legacy engine.
 func (m *Machine) planFor(prog *program) *prefixPlan {
-	if m.engine == EngineLegacy {
+	if m.engine == engineLegacy {
 		return nil
 	}
 	prog.prefixOnce.Do(func() { prog.prefix = buildPrefixPlan(prog) })

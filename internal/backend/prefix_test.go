@@ -49,7 +49,7 @@ func TestPrefixEngineByteIdentityWorkloads(t *testing.T) {
 	for name, exe := range exes {
 		for _, trials := range []int{100, 1000} { // serial and parallel
 			legacy := New(cal)
-			legacy.SetTrajectoryEngine(EngineLegacy)
+			legacy.engine = engineLegacy
 			prefix := New(cal)
 			want, err := legacy.Run(exe.Circuit, trials, rng.New(42))
 			if err != nil {
@@ -75,7 +75,7 @@ func TestPrefixEngineByteIdentityCached(t *testing.T) {
 	cal := device.Generate(device.Melbourne(), device.MelbourneProfile(), rng.New(5))
 	exe := exes["bv-6"].Circuit
 	legacy := New(cal)
-	legacy.SetTrajectoryEngine(EngineLegacy)
+	legacy.engine = engineLegacy
 	cached := New(cal)
 	cached.EnableRunCache()
 	want, err := legacy.Run(exe, 600, rng.New(13))
@@ -150,7 +150,7 @@ func TestPrefixDrawOrderContract(t *testing.T) {
 	exes := physicalWorkloads(t)
 	cal := device.Generate(device.Melbourne(), device.MelbourneProfile(), rng.New(5))
 	m := New(cal)
-	m.SetTrajectoryEngine(EngineStatevector)
+	m.engine = engineStatevector
 
 	const trials = 300
 	type readout struct {

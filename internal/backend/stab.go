@@ -118,24 +118,15 @@ func storeMax(a *atomic.Int64, v int64) {
 
 // selectStab resolves which engine executes the program and returns the
 // stabilizer plan to use (nil means the statevector path). It errors
-// when the selected engine cannot run the program at all: a strict
-// EngineStabilizer on a non-Clifford schedule, or a statevector path on
-// a device subset wider than the amplitude simulator.
+// when a statevector path would run on a device subset wider than the
+// amplitude simulator.
 func (m *Machine) selectStab(prog *program) (*stabPlan, error) {
-	switch m.engine {
-	case EngineStabilizer:
-		a := m.stabFor(prog)
-		if a.plan == nil {
-			return nil, fmt.Errorf("backend: engine=stabilizer but schedule step %d is not Clifford (prefix %d of %d steps)",
-				a.prefixLen, a.prefixLen, len(prog.steps))
-		}
-		return a.plan, nil
-	case EnginePrefixSharing:
+	if m.engine == engineDefault {
 		if a := m.stabFor(prog); a.plan != nil {
 			return a.plan, nil
 		}
 	}
-	// Statevector path (legacy, pinned, or Clifford fallback).
+	// Statevector path (a reference engine, or the Clifford fallback).
 	if prog.nLocal > statevec.MaxQubits {
 		return nil, fmt.Errorf("backend: %d active qubits exceed simulator limit %d (non-Clifford schedule cannot use the stabilizer engine)",
 			prog.nLocal, statevec.MaxQubits)

@@ -80,7 +80,7 @@ func TestStabilizerBenchReport(t *testing.T) {
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		Note: "per-trial execution of fully-Clifford compiled schedules: Aaronson-Gottesman " +
 			"tableau engine (DESIGN.md section 13) vs the tape-tree statevector engine " +
-			"(EngineStatevector, timed through Machine.Run) on the same programs; heavy-hex " +
+			"(the statevector reference engine, timed through Machine.Run) on the same programs; heavy-hex " +
 			"rows are tableau-only because the devices exceed the statevector width limit",
 	}
 
@@ -106,7 +106,7 @@ func TestStabilizerBenchReport(t *testing.T) {
 		// the timed Run measures trials only. The tableau side runs the
 		// same trials one by one.
 		sv := cliffordMachine(tc.nq, uint64(tc.nq))
-		sv.SetTrajectoryEngine(EngineStatevector)
+		sv.engine = engineStatevector
 		tab := stabilizer.New(prog.nLocal)
 		trueBits := make([]int, prog.numClbits)
 		root := rng.New(11)

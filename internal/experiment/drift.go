@@ -152,7 +152,7 @@ func runDrifting(s DriftSetup, tracked bool) DriftResult {
 	if tracked {
 		tr = mapper.NewTracking(cal)
 	} else {
-		comp = mapper.CachedCompiler(cal)
+		comp = mapper.NewCompiler(cal)
 	}
 	topK := func(c *circuit.Circuit, k int) ([]*mapper.Executable, error) {
 		if tr != nil {
@@ -170,7 +170,7 @@ func runDrifting(s DriftSetup, tracked bool) DriftResult {
 			if tr != nil {
 				tr.Advance(cal)
 			} else {
-				comp = mapper.CachedCompiler(cal)
+				comp = mapper.NewCompiler(cal)
 			}
 		}
 		mach := backend.New(cal.Drift(s.Drift, root.DeriveN("runtime", cycle)))

@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"edm/internal/backend"
-	"edm/internal/mapper"
 	"edm/internal/memo"
 )
 
@@ -13,9 +12,10 @@ import (
 // Setup.Round(i) for every (workload, round) cell — and before this
 // cache each cell regenerated the calibration, re-drifted it and rebuilt
 // the runner. Rounds are pure functions of (Setup fingerprint, round
-// index), so one memoized instance serves every cell, and the machines
-// inside cached rounds carry the backend trial-run cache so repeated
-// (executable, trials, stream) runs across figures simulate once.
+// index), so one memoized instance serves every cell. Each cached round
+// owns its compiler, whose ensemble cache builds each circuit's pool
+// once, and its machine, whose trial-run cache simulates repeated
+// (executable, trials, stream) runs across figures once.
 
 // roundCacheCap bounds the Round cache. A campaign touches Rounds (10 at
 // paper scale) entries per setup; 64 leaves room for several setups —
@@ -63,10 +63,8 @@ func BackendCacheStats() (prog backend.CacheStats, run memo.Stats) {
 	return prog, run
 }
 
-// ResetCampaignCaches drops every campaign-level cache: rounds (and with
-// them the per-machine run caches), compilers and their ensemble caches.
-// Tests and benchmarks call it to measure cold starts.
-func ResetCampaignCaches() {
-	roundCache.Reset()
-	mapper.ResetCompilerCache()
-}
+// ResetCampaignCaches drops every campaign-level cache: the rounds, and
+// with them the compilers' ensemble caches and the machines' run caches
+// that each round owns. Tests and benchmarks call it to measure cold
+// starts.
+func ResetCampaignCaches() { roundCache.Reset() }

@@ -40,7 +40,7 @@ type Setup struct {
 	Profile device.Profile
 	// NoCache disables the campaign memoization layer (Round cache,
 	// ensemble cache, trial-run cache): every Round call materializes a
-	// fresh machine and an uncached compiler view, replicating the cost
+	// fresh machine and a plain NewCompiler, replicating the cost
 	// structure the caches were benchmarked against. Results are
 	// bit-identical either way; benchmarks use it as the frozen baseline.
 	NoCache bool
@@ -99,22 +99,21 @@ func (s Setup) Round(i int) *Round {
 }
 
 // buildRound materializes round i from scratch. With cached set, the
-// round's machine memoizes whole trial runs and its compiler keeps its
-// ensemble cache; otherwise the compiler is an uncached view and the
-// fresh machine has no trial-run cache, so repeated calls redo all TopK
-// and simulation work. Either way the compiler tables themselves are
-// shared through CachedCompiler — construction cost was amortized before
-// the Round cache existed, and the frozen baseline keeps that behaviour.
+// round owns a memo compiler, which keeps its ensemble cache and counts
+// into mapper.TopKCounters, and its machine memoizes whole trial runs;
+// otherwise the compiler is a plain NewCompiler and the machine has no
+// trial-run cache, so repeated calls redo all TopK and simulation work.
 func (s Setup) buildRound(i int, cached bool) *Round {
 	root := rng.New(s.Seed)
 	cal := device.Generate(s.Topo, s.Profile, root.DeriveN("calibration", i))
 	runtimeCal := cal.Drift(s.Drift, root.DeriveN("drift", i))
-	comp := mapper.CachedCompiler(cal)
+	var comp *mapper.Compiler
 	mach := backend.New(runtimeCal)
 	if cached {
+		comp = mapper.NewMemoCompiler(cal, &mapper.TopKCounters)
 		mach.EnableRunCache()
 	} else {
-		comp = comp.Uncached()
+		comp = mapper.NewCompiler(cal)
 	}
 	return &Round{
 		Index:    i,

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"edm/internal/device"
+	"edm/internal/memo"
 	"edm/internal/rng"
 	"edm/internal/workloads"
 )
@@ -19,7 +20,7 @@ import (
 // demonstrates the one that does not:
 //
 //  1. Member 0 (the paper's baseline mapping) is identical for every k.
-//  2. On a cached compiler, each k returns exactly what an uncached
+//  2. On a memo compiler, each k returns exactly what an uncached
 //     compiler returns for that k — the pool is shared, the selection
 //     re-runs.
 //  3. There exist workloads where TopK(c, 6)[:4] != TopK(c, 4), which is
@@ -28,7 +29,7 @@ import (
 func TestTopKPrefixStability(t *testing.T) {
 	cal := device.Generate(device.Melbourne(), device.MelbourneProfile(), rng.New(1))
 	fresh := NewCompiler(cal)
-	cached := CachedCompiler(cal)
+	cached := NewMemoCompiler(cal, nil)
 	prefixDiffers := false
 	for _, w := range workloads.All() {
 		byK := map[int][]*Executable{}
@@ -70,12 +71,8 @@ func TestTopKCachedBitIdenticalAcrossKOrder(t *testing.T) {
 	if !ok {
 		t.Fatal("unknown workload")
 	}
-	asc := CachedCompiler(cal)
-	ResetCompilerCache()
-	desc := CachedCompiler(cal)
-	if asc == desc {
-		t.Fatal("ResetCompilerCache did not drop the compiler")
-	}
+	asc := NewMemoCompiler(cal, nil)
+	desc := NewMemoCompiler(cal, nil)
 	ascRes := map[int][]*Executable{}
 	for _, k := range []int{1, 2, 4, 6} {
 		exes, err := asc.TopK(w.Circuit, k)
@@ -105,74 +102,50 @@ func TestTopKCachedBitIdenticalAcrossKOrder(t *testing.T) {
 	}
 }
 
-// TestUncachedView checks the frozen-baseline escape hatch: Uncached
-// returns a compiler that shares the tables but rebuilds every TopK
-// call, producing equal values but distinct objects.
+// TestUncachedView checks the memo compiler against the uncached one
+// (NewCompiler) that NoCache rounds and the drift reference build: every
+// k gives equal values, the memo compiler shares its executables across
+// calls, and the uncached one builds fresh ones each time.
 func TestUncachedView(t *testing.T) {
 	cal := device.Generate(device.Melbourne(), device.MelbourneProfile(), rng.New(3))
-	cached := CachedCompiler(cal)
-	raw := cached.Uncached()
-	if raw.ens != nil {
-		t.Fatal("Uncached view still has an ensemble cache")
-	}
-	if raw.cal != cached.cal || &raw.cxSucc[0] != &cached.cxSucc[0] {
-		t.Fatal("Uncached view does not share the compiler tables")
+	cached := NewMemoCompiler(cal, nil)
+	plain := NewCompiler(cal)
+	if plain.ens != nil {
+		t.Fatal("NewCompiler attached an ensemble cache")
 	}
 	w, ok := workloads.ByName("bv-6")
 	if !ok {
 		t.Fatal("unknown workload")
 	}
-	a, err := cached.TopK(w.Circuit, 4)
-	if err != nil {
-		t.Fatal(err)
+	topK := func(comp *Compiler, k int) []*Executable {
+		t.Helper()
+		exes, err := comp.TopK(w.Circuit, k)
+		if err != nil {
+			t.Fatalf("k=%d: %v", k, err)
+		}
+		return exes
 	}
-	b, err := raw.TopK(w.Circuit, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Fatal("Uncached TopK differs from cached")
-	}
-	if a[0] == b[0] {
-		t.Fatal("Uncached TopK returned a cached executable")
-	}
-	// NewCompiler never attaches a cache; Uncached on it is the identity.
-	plain := NewCompiler(cal)
-	if plain.Uncached() != plain {
-		t.Fatal("Uncached on an uncached compiler allocated a copy")
-	}
-}
-
-// TestCompilerCacheEvictionReleases pins the satellite leak fix: pushing
-// the compiler cache past capacity evicts FIFO entries (counted in the
-// stats) and an evicted fingerprint is rebuilt on the next call.
-func TestCompilerCacheEvictionReleases(t *testing.T) {
-	ResetCompilerCache()
-	base := device.Generate(device.Melbourne(), device.MelbourneProfile(), rng.New(40))
-	first := CachedCompiler(base)
-	before := CompilerCacheStats()
-	r := rng.New(41)
-	for i := 0; i < compilerCacheCap; i++ {
-		CachedCompiler(base.Drift(0.2, r.DeriveN("evict", i)))
-	}
-	st := CompilerCacheStats()
-	if st.Evictions <= before.Evictions {
-		t.Fatalf("no evictions after %d inserts past capacity: %+v", compilerCacheCap, st)
-	}
-	if st.Entries > compilerCacheCap {
-		t.Fatalf("cache holds %d entries, cap %d", st.Entries, compilerCacheCap)
-	}
-	if second := CachedCompiler(base); second == first {
-		t.Fatal("evicted compiler was still served from the cache")
+	for _, k := range []int{1, 4} {
+		memo1, memo2 := topK(cached, k), topK(cached, k)
+		plain1, plain2 := topK(plain, k), topK(plain, k)
+		if !reflect.DeepEqual(memo1, plain1) {
+			t.Fatalf("k=%d: uncached TopK differs from the memo compiler's", k)
+		}
+		if memo1[0] != memo2[0] {
+			t.Fatalf("k=%d: memo compiler rematerialized instead of sharing", k)
+		}
+		if plain1[0] == plain2[0] || plain1[0] == memo1[0] {
+			t.Fatalf("k=%d: uncached TopK returned a shared executable", k)
+		}
 	}
 }
 
 // TestTopKCacheSingleflight checks that concurrent first queries for the
 // same circuit build one pool and share one set of executables.
 func TestTopKCacheSingleflight(t *testing.T) {
-	ResetCompilerCache()
 	cal := device.Generate(device.Melbourne(), device.MelbourneProfile(), rng.New(50))
-	comp := CachedCompiler(cal)
+	var ctr memo.Counters
+	comp := NewMemoCompiler(cal, &ctr)
 	w, ok := workloads.ByName("qaoa-5")
 	if !ok {
 		t.Fatal("unknown workload")
@@ -203,7 +176,7 @@ func TestTopKCacheSingleflight(t *testing.T) {
 			}
 		}
 	}
-	st := TopKCacheStats()
+	st := ctr.Stats()
 	if st.Misses == 0 {
 		t.Fatalf("no Top-K cache misses recorded: %+v", st)
 	}

@@ -11,15 +11,15 @@ import (
 )
 
 // TestTopKCtxBitIdenticalToTopK pins that the context-threaded compile
-// path returns the same executables as TopK, on both the cached and
-// uncached compiler, plain and Tracking.
+// path returns the same executables as TopK, on a memo compiler and on
+// a Tracking.
 func TestTopKCtxBitIdenticalToTopK(t *testing.T) {
 	cal := device.Generate(device.Melbourne(), device.MelbourneProfile(), rng.New(21))
 	w := workloads.BV("110011")
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
-	cached := CachedCompiler(cal)
+	cached := NewMemoCompiler(cal, nil)
 	want, err := cached.TopK(w.Circuit, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -60,7 +60,7 @@ func TestTopKCtxBitIdenticalToTopK(t *testing.T) {
 // panic, and does not poison the ensemble cache for later callers.
 func TestTopKCtxCancelled(t *testing.T) {
 	cal := device.Generate(device.Melbourne(), device.MelbourneProfile(), rng.New(22))
-	comp := CachedCompiler(cal)
+	comp := NewMemoCompiler(cal, nil)
 	w := workloads.QAOA(6)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

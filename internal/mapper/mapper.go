@@ -89,7 +89,7 @@ type Compiler struct {
 
 	// ens memoizes TopK ensembles per circuit fingerprint. nil on
 	// compilers built with NewCompiler (every call recomputes, the
-	// behaviour the frozen benchmarks measure); CachedCompiler attaches
+	// behaviour the frozen benchmarks measure); NewMemoCompiler attaches
 	// one. See cache.go.
 	ens *ensembleCache
 }

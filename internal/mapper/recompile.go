@@ -18,9 +18,10 @@ import (
 // rebuilding it. An upgrade re-places and re-dry-routes the base,
 // re-runs the alternative-placement sweep and re-scores every enumerated
 // candidate with the O(gates) incremental scorer; what it keeps is the
-// VF2 enumeration and the sorted order, the costly part of a build. Any
-// check that finds a changed decision falls back to a full rebuild, so
-// an upgraded pool is bit-identical to buildPool at the new calibration.
+// VF2 enumeration and the sorted order, the costly part of a build. A
+// lineage whose mono layouts are not pairwise distinct, or any check
+// that finds a changed decision, falls back to a full rebuild, so an
+// upgraded pool is bit-identical to buildPool at the new calibration.
 //
 // Routing is globally calibration-dependent — the SABRE pass's
 // reliability weights read path costs through arbitrary qubits — so no
@@ -95,8 +96,8 @@ func (c *recompileCtr) snapshot() RecompileStats {
 // then serves every k from generation-tagged candidate pools that
 // upgrade through recompilePool instead of rebuilding. The pools live
 // in the Tracking's own memo (generation tagging is per-Tracking
-// state), so each generation's compiler is a plain NewCompiler, outside
-// the process-wide compiler cache and without an ensemble memo.
+// state), so each generation's compiler is a plain NewCompiler without
+// an ensemble memo.
 //
 // Within a generation all methods are safe for concurrent use; Advance
 // must not be called concurrently with TopK (the drifting campaign
@@ -195,54 +196,17 @@ func sameRecs(a, b []swapRec) bool {
 	return true
 }
 
-// poolGroups indexes the immutable structure of a pool lineage's raw
-// candidate list: dense group ids for the skey (qubit-set) and lkey
-// (layout) equivalence classes, keyed by raw position. Candidate sets and
-// layouts never change across generations — only ESPs move — so the
-// index is computed once, on the lineage's first upgrade, and
-// shared by every later generation, turning the assembly's hash-map
-// passes into dense boolean passes.
-type poolGroups struct {
-	setGid   []int32          // raw index -> set-group id
-	layGid   []int32          // raw index -> layout-group id
-	layByKey map[uint64]int32 // mono lkey -> layout-group id
-	nSet     int
-	nLay     int
-	// layUnique reports that every mono layout is distinct. Then the
-	// (esp desc, layout asc) comparator is a strict total order over the
-	// raw list, so its sort has a unique result regardless of algorithm
-	// or starting permutation — the upgrade can start from the previous
-	// generation's nearly-sorted order and use an adaptive unstable sort
-	// instead of a stable sort from enumeration order.
-	layUnique bool
-}
-
-func computeGroups(raw []*candidate) *poolGroups {
-	g := &poolGroups{
-		setGid:    make([]int32, len(raw)),
-		layGid:    make([]int32, len(raw)),
-		layByKey:  make(map[uint64]int32, len(raw)),
-		layUnique: true,
-	}
-	setIds := make(map[uint64]int32, len(raw))
-	for i, cd := range raw {
-		id, ok := setIds[cd.skey]
-		if !ok {
-			id = int32(len(setIds))
-			setIds[cd.skey] = id
+// monoLayouts returns the set of the candidates' layout keys, or nil if
+// two of them share one.
+func monoLayouts(raw []*candidate) map[uint64]bool {
+	set := make(map[uint64]bool, len(raw))
+	for _, cd := range raw {
+		if set[cd.lkey] {
+			return nil
 		}
-		g.setGid[i] = id
-		lid, ok := g.layByKey[cd.lkey]
-		if !ok {
-			lid = int32(len(g.layByKey))
-			g.layByKey[cd.lkey] = lid
-		} else {
-			g.layUnique = false
-		}
-		g.layGid[i] = lid
+		set[cd.lkey] = true
 	}
-	g.nSet, g.nLay = len(setIds), len(g.layByKey)
-	return g
+	return set
 }
 
 // candLess is sortCandidates' comparator: ESP descending, then initial
@@ -265,11 +229,13 @@ func candLess(a, b *candidate) bool {
 // op list — which the base re-route check pins (same placement seed,
 // same winning layout, same SWAP log ⇒ same circuit); the alternative
 // sweep is re-run outright (it *is* the alt re-route check); and every
-// ESP is recomputed by the incremental scorer. Replaying buildPool's
-// exact assembly pipeline (sort, split-by-set, append alts,
-// dedupe-by-layout, sort) on those inputs therefore reproduces a full
-// rebuild bit for bit. A topology change or any check failure falls
-// back to the full path.
+// ESP is recomputed by the incremental scorer. Only lineages whose mono
+// layouts are pairwise distinct upgrade. buildPool's assembly (sort,
+// split-by-set, append alts, dedupe-by-layout, sort) then keeps every
+// mono, and its final sort runs over distinct layouts, where candLess
+// is strict, so the pool is the sorted monos merged with the sorted
+// surviving alts, bit for bit. Duplicate mono layouts, a topology change
+// or any check failure fall back to the full path.
 func (c *Compiler) recompilePool(logical *circuit.Circuit, prev *poolEntry, ctr *recompileCtr) *poolEntry {
 	tally := RecompileStats{Pools: 1}
 	defer func() { ctr.add(tally) }()
@@ -282,6 +248,15 @@ func (c *Compiler) recompilePool(logical *circuit.Circuit, prev *poolEntry, ctr 
 	if prev.err != nil || prev.rp == nil ||
 		prev.rp.c.cal.Topo.Fingerprint() != c.cal.Topo.Fingerprint() {
 		return full()
+	}
+	// Layouts never change across generations, only ESPs, so the
+	// lineage's first upgrade computes its layout set and later ones
+	// inherit it.
+	lays := prev.monoLays
+	if lays == nil {
+		if lays = monoLayouts(prev.raw); lays == nil {
+			return full()
+		}
 	}
 	prog := prev.prog
 
@@ -338,12 +313,11 @@ func (c *Compiler) recompilePool(logical *circuit.Circuit, prev *poolEntry, ctr 
 
 	// Alternative placements: re-run the seed sweep — this is the alt
 	// re-route check. Alts that come back with their previous layout and
-	// SWAP log kept their structure; the rest were routed anew.
+	// SWAP log kept their structure; the rest were routed anew. A sweep
+	// that fails fails the same way in the rebuild, which records it.
 	alts, _, err := c.alternativePlacements(prog)
 	if err != nil {
-		tally.FullRebuilds++
-		tally.Dropped += uint64(len(prev.cpool))
-		return &poolEntry{err: err}
+		return full()
 	}
 	oldAlt := make(map[uint64]*candidate)
 	for _, cd := range prev.cpool {
@@ -367,105 +341,52 @@ func (c *Compiler) recompilePool(logical *circuit.Circuit, prev *poolEntry, ctr 
 		}
 	}
 
-	// Replay buildPool's exact assembly on the upgraded candidates,
-	// replacing its hash maps with dense passes over the lineage's group
-	// index. The sorted order is materialized as a permutation of raw
-	// indices, so newRaw itself stays in enumeration order and becomes the
-	// new entry's raw without another copy.
-	g := prev.groups
-	if g == nil {
-		g = computeGroups(raw)
-	}
-	idx := make([]int32, len(newRaw))
-	if g.layUnique {
-		// Strict total order: start from the previous generation's sorted
-		// permutation (small ESP moves leave it nearly sorted, which the
-		// adaptive sort exploits) — the unique result matches buildPool's
-		// stable sort from enumeration order.
-		if prev.order != nil {
-			copy(idx, prev.order)
-		} else {
-			for i := range idx {
-				idx[i] = int32(i)
-			}
-		}
-		sort.Slice(idx, func(a, b int) bool { return candLess(newRaw[idx[a]], newRaw[idx[b]]) })
+	// Sort the monos as a permutation of raw indices, so newRaw itself
+	// stays in enumeration order and becomes the new entry's raw without
+	// another copy. The order is strict, so the sort's result is unique
+	// whatever its starting permutation: start from the previous
+	// generation's, which small ESP moves leave nearly sorted.
+	order := make([]int32, len(newRaw))
+	if prev.order != nil {
+		copy(order, prev.order)
 	} else {
-		// Duplicate layouts exist: ties must resolve by enumeration order,
-		// exactly as sortCandidates' stable sort does.
-		for i := range idx {
-			idx[i] = int32(i)
+		for i := range order {
+			order[i] = int32(i)
 		}
-		sort.SliceStable(idx, func(a, b int) bool { return candLess(newRaw[idx[a]], newRaw[idx[b]]) })
 	}
-	order := idx
+	sort.Slice(order, func(a, b int) bool { return candLess(newRaw[order[a]], newRaw[order[b]]) })
 
-	// Surviving alts, deduped: an alt sharing a layout with any mono is
-	// dropped (every mono lkey precedes it through distinct ++ dupes in
-	// buildPool's pipeline), and among same-layout alts the first in sweep
-	// order wins, exactly as dedupeByLayout resolves them.
+	// Surviving alts, deduped as dedupeByLayout resolves them: an alt
+	// sharing a layout with any mono is dropped (every mono precedes it
+	// in buildPool's pipeline), and among same-layout alts the first in
+	// sweep order wins.
 	altSeen := make(map[uint64]bool, len(altCands))
 	keptAlts := make([]*candidate, 0, len(altCands))
 	for _, nc := range altCands {
-		if _, dup := g.layByKey[nc.lkey]; dup || altSeen[nc.lkey] {
+		if lays[nc.lkey] || altSeen[nc.lkey] {
 			continue
 		}
 		altSeen[nc.lkey] = true
 		keptAlts = append(keptAlts, nc)
 	}
 
-	var cpool []*candidate
-	if g.layUnique {
-		// Every mono layout is distinct, so dedupeByLayout keeps every mono
-		// and the final pool is just the sorted monos merged with the sorted
-		// surviving alts — the split-by-set reshuffle is undone by the final
-		// sort, whose strict comparator makes the merge its unique result.
-		sort.Slice(keptAlts, func(a, b int) bool { return candLess(keptAlts[a], keptAlts[b]) })
-		cpool = make([]*candidate, 0, len(idx)+len(keptAlts))
-		ai := 0
-		for _, ri := range idx {
-			for ai < len(keptAlts) && candLess(keptAlts[ai], newRaw[ri]) {
-				cpool = append(cpool, keptAlts[ai])
-				ai++
-			}
-			cpool = append(cpool, newRaw[ri])
+	// Merge: buildPool's split-by-set reshuffle is undone by its final
+	// sort, whose strict comparator makes the merge its unique result.
+	sort.Slice(keptAlts, func(a, b int) bool { return candLess(keptAlts[a], keptAlts[b]) })
+	cpool := make([]*candidate, 0, len(order)+len(keptAlts))
+	ai := 0
+	for _, ri := range order {
+		for ai < len(keptAlts) && candLess(keptAlts[ai], newRaw[ri]) {
+			cpool = append(cpool, keptAlts[ai])
+			ai++
 		}
-		cpool = append(cpool, keptAlts[ai:]...)
-	} else {
-		// Duplicate mono layouts: replay the full pipeline. splitBySet —
-		// first candidate per distinct qubit set keeps pool priority,
-		// same-set permutations follow — then dedupeByLayout over
-		// distinct ++ dupes ++ alts, then the final sort (strict after
-		// dedupe, so an unstable sort reproduces buildPool's stable result).
-		seenSet := make([]bool, g.nSet)
-		distinct := make([]int32, 0, len(idx))
-		var dupes []int32
-		for _, ri := range idx {
-			if seenSet[g.setGid[ri]] {
-				dupes = append(dupes, ri)
-				continue
-			}
-			seenSet[g.setGid[ri]] = true
-			distinct = append(distinct, ri)
-		}
-		seenLay := make([]bool, g.nLay)
-		cpool = make([]*candidate, 0, len(idx)+len(keptAlts))
-		for _, part := range [][]int32{distinct, dupes} {
-			for _, ri := range part {
-				if seenLay[g.layGid[ri]] {
-					continue
-				}
-				seenLay[g.layGid[ri]] = true
-				cpool = append(cpool, newRaw[ri])
-			}
-		}
-		cpool = append(cpool, keptAlts...)
-		sort.Slice(cpool, func(i, j int) bool { return candLess(cpool[i], cpool[j]) })
+		cpool = append(cpool, newRaw[ri])
 	}
+	cpool = append(cpool, keptAlts[ai:]...)
 
 	return &poolEntry{
 		rp: rp2, cpool: cpool, raw: newRaw, prog: prog,
 		seed: prev.seed, baseLayout: prev.baseLayout, baseRes: baseRes,
-		groups: g, order: order, exes: make(map[*candidate]*Executable),
+		monoLays: lays, order: order, exes: make(map[*candidate]*Executable),
 	}
 }

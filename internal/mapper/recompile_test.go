@@ -179,3 +179,40 @@ func TestTrackingTopologyChangeRebuilds(t *testing.T) {
 		t.Fatalf("topology change must rebuild fully before any re-route check: %+v", s)
 	}
 }
+
+// TestTrackingDuplicateLayoutsRebuild: only lineages whose mono layouts
+// are pairwise distinct upgrade. The same drift step upgrades a plain
+// lineage but rebuilds one given a duplicate layout (a copy of one of
+// its raw candidates), counting one full rebuild and no failed check,
+// and both end equal to buildPool at the new calibration.
+func TestTrackingDuplicateLayoutsRebuild(t *testing.T) {
+	w, ok := workloads.ByName("qaoa-6")
+	if !ok {
+		t.Fatal("unknown workload")
+	}
+	root := rng.New(71)
+	cal := device.Generate(device.Melbourne(), device.MelbourneProfile(), root.Derive("cal"))
+	next := cal.DriftLocal(2, 2, 0.4, 2e-3, root.Derive("cycle"))
+	for _, dup := range []bool{false, true} {
+		tr := NewTracking(cal)
+		pe, err := tr.poolFor(context.Background(), w.Circuit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if dup {
+			cd := *pe.raw[len(pe.raw)/2]
+			pe.raw = append(pe.raw, &cd)
+		}
+		tr.Advance(next)
+		if !poolsIdentical(t, tr, w.Circuit) {
+			t.Fatalf("duplicate=%v: pool after the upgrade differs from a full rebuild", dup)
+		}
+		want := uint64(0)
+		if dup {
+			want = 1
+		}
+		if s := tr.Stats(); s.Pools != 1 || s.FullRebuilds != want || s.CheckFailed != 0 {
+			t.Fatalf("duplicate=%v: want one upgrade with %d full rebuilds and no failed check, got %+v", dup, want, s)
+		}
+	}
+}

@@ -300,16 +300,6 @@ func (c *Compiler) routeGreedy(logical *circuit.Circuit, layout []int) (*Executa
 	return c.replay(prog, layout, res), nil
 }
 
-// routeFixed materializes one SABRE forward pass from the given layout.
-func (c *Compiler) routeFixed(logical *circuit.Circuit, layout []int) (*Executable, error) {
-	prog := progOf(logical)
-	res, err := c.sabrePass(prog, layout)
-	if err != nil {
-		return nil, err
-	}
-	return c.replay(prog, layout, res), nil
-}
-
 // replay materializes a dry pass result: it rebuilds the physical circuit
 // by applying the recorded SWAP log, with no routing decisions left to
 // make. The replayed ESP is the same product over the same factors in the

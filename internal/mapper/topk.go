@@ -449,11 +449,11 @@ func dedupeByLayout(cs []*candidate) []*candidate {
 // always the single best mapping — the paper's baseline.
 //
 // The pipeline is deterministic: results are bit-identical across runs
-// and worker counts. On a CachedCompiler the ranked candidate pool is
-// built once per circuit fingerprint and shared across every k
-// (selection re-runs per k, so each k's members match an uncached call
-// exactly), and the returned executables are shared immutable values —
-// callers must not mutate them.
+// and worker counts. On a memo compiler (NewMemoCompiler) the ranked
+// candidate pool is built once per circuit fingerprint and shared across
+// every k (selection re-runs per k, so each k's members match an
+// uncached call exactly), and the returned executables are shared
+// immutable values — callers must not mutate them.
 func (c *Compiler) TopK(logical *circuit.Circuit, k int) ([]*Executable, error) {
 	return c.TopKCtx(context.Background(), logical, k)
 }

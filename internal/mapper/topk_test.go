@@ -135,27 +135,6 @@ func TestPlacementsParallelDeterminism(t *testing.T) {
 	}
 }
 
-// TestCachedCompiler checks fingerprint-keyed memoization.
-func TestCachedCompiler(t *testing.T) {
-	cal := device.Generate(device.Melbourne(), device.MelbourneProfile(), rng.New(21))
-	a := CachedCompiler(cal)
-	b := CachedCompiler(cal)
-	if a != b {
-		t.Fatal("same calibration produced two compilers")
-	}
-	if c := CachedCompiler(cal.Clone()); c != a {
-		t.Fatal("identical clone missed the cache")
-	}
-	drifted := cal.Drift(0.2, rng.New(22))
-	d := CachedCompiler(drifted)
-	if d == a {
-		t.Fatal("drifted calibration hit the stale cache entry")
-	}
-	if e := CachedCompiler(drifted); e != d {
-		t.Fatal("drifted calibration was not cached")
-	}
-}
-
 // TestTooWideDeviceRejected: compiling for a device wider than the
 // footprint masks must fail loudly with ErrDeviceTooWide, never truncate
 // qubit indices into the mask.

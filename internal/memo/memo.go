@@ -1,7 +1,7 @@
 // Package memo provides the fingerprint-keyed memoization table shared by
-// the campaign caches: the compiler cache and per-compiler Top-K pools in
-// internal/mapper, the compiled-program and trial-run caches in
-// internal/backend, and the Round cache in internal/experiment.
+// the campaign caches: the per-compiler Top-K pools in internal/mapper,
+// the compiled-program and trial-run caches in internal/backend, and the
+// Round cache in internal/experiment.
 //
 // A Cache is a bounded map from 64-bit fingerprints to immutable values
 // with three properties the experiment sweeps need:

@@ -70,7 +70,7 @@ func TestRunJobMatchesLibraryPipeline(t *testing.T) {
 		}
 
 		cal, runtimeCal := windowCals(cfg, cfg.Window)
-		runner := core.NewRunner(mapper.CachedCompiler(cal), backend.New(runtimeCal))
+		runner := core.NewRunner(mapper.NewCompiler(cal), backend.New(runtimeCal))
 		w, _ := workloads.ByName(tc.spec.Workload)
 		res, err := runner.Run(w.Circuit, tc.lib, rng.New(tc.spec.Seed))
 		if err != nil {

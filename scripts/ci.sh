@@ -44,9 +44,10 @@ GOMAXPROCS=1 go test -race -count=1 -run 'Deterministic|Router' ./internal/mappe
 
 echo "== campaign cache determinism (DESIGN.md §9) =="
 # Cached concurrent sweeps must be byte-identical to the frozen uncached
-# serial path, under the race detector; the memo singleflight core gets
-# its own race pass.
-go test -race -count=1 -run 'Campaign|TopKCache|RunCache|PrefixStability' \
+# serial path, under the race detector, and the memo compiler to the
+# plain one (UncachedView); the memo singleflight core gets its own race
+# pass.
+go test -race -count=1 -run 'Campaign|TopKCache|RunCache|PrefixStability|UncachedView' \
 	./internal/experiment ./internal/mapper ./internal/backend
 go test -race -count=1 ./internal/memo
 
