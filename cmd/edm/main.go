@@ -216,7 +216,8 @@ func startProfiles(cpuOut, memOut string) func() {
 
 // printCacheStats reports the campaign memoization counters (DESIGN.md
 // §9): the Round cache, the rounds' Top-K ensemble caches, and the
-// per-machine backend caches aggregated across cached rounds.
+// per-machine backend caches and tape-tree plans aggregated across
+// cached rounds.
 func printCacheStats(out *os.File) {
 	round := experiment.RoundCacheStats()
 	topk := mapper.TopKCacheStats()
@@ -234,12 +235,13 @@ func printCacheStats(out *os.File) {
 }
 
 // printEngineStats reports the trajectory engine counters (DESIGN.md
-// §10, §13, §15).
+// §10, §13, §15). The tape-tree row is the cached rounds' plans.
 func printEngineStats(out *os.File) {
 	es := backend.EngineStatsSnapshot()
+	ps := experiment.PlanStats()
 	fmt.Fprintln(out, "trajectory engine stats:")
-	fmt.Fprintf(out, "  %-14s plans %-8d leaves %d\n",
-		"tape-tree", es.PlansBuilt, es.TreeLeaves)
+	fmt.Fprintf(out, "  %-14s plans %-8d leaves %-6d forks-grown %-5d ckpt-KiB %-7d tape-KiB %d\n",
+		"tape-tree", ps.Plans, ps.Leaves, ps.ForksGrown, ps.CheckpointBytes>>10, ps.TapeBytes>>10)
 	fmt.Fprintf(out, "  %-14s dominant %-6d divergent %d\n",
 		"trials", es.FullDominantTrials, es.DivergentTrials)
 	meanBatch := 0.0

@@ -49,6 +49,10 @@ type Machine struct {
 	// engine swaps the default engine for a reference; tests set it
 	// before the machine is shared across goroutines.
 	engine engineRef
+	// planBudget, when positive, replaces planStateBudget as the plan
+	// bytes past which the machine's tape trees stop growing; tests set
+	// it before the machine is shared across goroutines.
+	planBudget int64
 }
 
 // engineRef names the trajectory engine a Run uses. The default runs
@@ -129,11 +133,11 @@ type program struct {
 	steps     []step
 	measPhys  []int // classical bit -> physical qubit (-1 if unwritten)
 
-	// prefix is the dominant-path threshold tape + checkpoints of the
-	// prefix-sharing engine (prefix.go), built at most once per compiled
-	// program on first use and shared read-only by every stripe.
+	// prefix is the tape tree of the prefix-sharing engine (prefix.go),
+	// built at most once per compiled program on first use and grown by
+	// later Runs; Machine.PlanStats reads it without the Once.
 	prefixOnce sync.Once
-	prefix     *prefixPlan
+	prefix     atomic.Pointer[prefixPlan]
 
 	// stab is the Clifford analysis of the stabilizer engine (stab.go),
 	// built at most once per compiled program on first use.

@@ -122,7 +122,7 @@ func BenchmarkTrajectoryEngine(b *testing.B) {
 			b.ReportMetric(float64(b.N)*trials/b.Elapsed().Seconds(), "trials/s")
 			b.ReportMetric(float64(entries), "tape-entries")
 			b.ReportMetric(float64(len(plan.leaves)), "leaves")
-			b.ReportMetric(float64(plan.stateBytes)/1024, "ckpt-KiB")
+			b.ReportMetric(float64(plan.stateBytes.Load())/1024, "ckpt-KiB")
 		})
 	}
 }

@@ -49,3 +49,48 @@ func (m *Machine) getProgram(exe *circuit.Circuit) (*program, error) {
 	})
 	return e.prog, e.err
 }
+
+// PlanStats is the footprint of a machine's tape-tree plans, summed over
+// its cached programs. Plan memory is checkpoint state plus tape: the
+// sum that bounds growth (prefix.go).
+type PlanStats struct {
+	Plans      int64 // cached programs with a built plan
+	Leaves     int64 // dominant paths
+	ForksGrown int64 // forks grown by later Runs
+	// CheckpointBytes counts checkpoint amplitude buffers, each at its
+	// own register width; TapeBytes counts tape and fork entries.
+	CheckpointBytes int64
+	TapeBytes       int64
+}
+
+// Bytes is the plan memory the machine's growth budget bounds.
+func (s PlanStats) Bytes() int64 { return s.CheckpointBytes + s.TapeBytes }
+
+// PlanStats sums the tape-tree plans of the machine's cached programs.
+func (m *Machine) PlanStats() PlanStats {
+	var s PlanStats
+	m.progs.Each(func(_ uint64, e progEntry) {
+		if e.prog == nil {
+			return
+		}
+		p := e.prog.prefix.Load()
+		if p == nil {
+			return
+		}
+		s.Plans++
+		s.Leaves += p.nLeaves.Load()
+		s.ForksGrown += p.forksGrown.Load()
+		s.CheckpointBytes += p.stateBytes.Load()
+		s.TapeBytes += p.tapeBytes.Load()
+	})
+	return s
+}
+
+// growthBudget returns the plan bytes past which the machine's tape
+// trees stop growing.
+func (m *Machine) growthBudget() int64 {
+	if m.planBudget > 0 {
+		return m.planBudget
+	}
+	return planStateBudget
+}

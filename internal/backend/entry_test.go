@@ -59,7 +59,8 @@ func TestLazyEntryIdentity(t *testing.T) {
 }
 
 // TestLazyEntryTapeBitIdentical replays every root-to-leaf path of the
-// plan built on the lazy register against the full register, through
+// plan built on the lazy register, once earlier Runs have grown its
+// forks, against the full register, through
 // the legacy loop's calls at each step's local qubits: every recorded
 // threshold (Pauli rate, Kraus weight and total, P(1)) must match the
 // full register's bit for bit, and each leaf's bits must be the path's
@@ -83,6 +84,7 @@ func TestLazyEntryTapeBitIdentical(t *testing.T) {
 		if plan == nil {
 			t.Fatalf("%s: no plan", tc.name)
 		}
+		growPlan(t, m, tc.circuit, 300)
 		for _, leaf := range plan.leaves {
 			checkPathOnFullRegister(t, tc.name, prog, leaf)
 		}

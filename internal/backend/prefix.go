@@ -1,6 +1,6 @@
 package backend
 
-// Prefix-sharing trajectory engine with a tape tree.
+// Prefix-sharing trajectory engine with a lazily grown tape tree.
 //
 // At the device's error rates most Monte-Carlo trials follow the same
 // branch at every stochastic step for a long prefix of the schedule —
@@ -17,19 +17,36 @@ package backend
 // One dominant path is not enough when the schedule contains genuinely
 // random branch points: a measurement of an equal superposition sends
 // half of all trials off the tape, and each of them pays a suffix
-// replay. The engine therefore grows a small *tree* of dominant paths:
-// when the dominant-path builder meets a stochastic comparison whose
-// minority branch still carries probability >= forkMinProb — only
-// measurements and two-operator Kraus selections qualify, the two
-// branch kinds that consume exactly one uniform either way — it forks
-// the tape and continues building both branches, until maxTreeLeaves
-// paths exist. Each tree node owns the tape segment between its
-// parent's fork and its own (or its leaf end), its own checkpoints, and
-// — on leaves — the classical bits of the full path. A trial burns its
-// uniforms against the tape, selects a child at each fork with the very
-// comparison the live code would perform, and resolves with zero state
-// work if it reaches a leaf; only trials diverging from *every* path in
-// the tree replay a suffix.
+// replay. The engine therefore grows a small *tree* of dominant paths,
+// but only where trials actually leave it. A plan starts as the
+// dominant path alone. A *site* is a tape entry whose minority branch
+// still carries probability >= forkMinProb — only measurements and
+// two-operator Kraus selections qualify, the two branch kinds that
+// consume exactly one uniform either way. Every Run counts, per site,
+// the trials whose walk left the tree there (its departures). At the
+// start of a later Run, every site with departures in forkAfterRuns
+// earlier Runs forks, until maxTreeLeaves paths exist or the machine's
+// cached plans hold planStateBudget bytes (Machine.PlanStats): the node
+// splits at the entry, which becomes the fork; the dominant child takes
+// the rest of the node's tape, checkpoints and children; and the
+// minority child is built to the end of the schedule by restoring the
+// node's latest checkpoint before the entry, replaying the recorded path
+// to it (asserting every recorded entry bit for bit) and taking the
+// minority branch. A program that never runs again pays for one path.
+//
+// Each tree node owns the tape segment between its parent's fork and
+// its own (or its leaf end), its own checkpoints, and — on leaves — the
+// classical bits of the full path. A trial burns its uniforms against
+// the tape, selects a child at each fork with the very comparison the
+// live code would perform, and resolves with zero state work if it
+// reaches a leaf; only trials diverging from *every* path in the tree
+// replay a suffix.
+//
+// Concurrency: a Run holds the plan's read lock through its walk and
+// replay phases (sched.go). Growth takes the write lock before the Run
+// takes its read lock, and never while holding a compute token
+// (internal/pool's deadlock rule): the Run's workers take their tokens
+// only once the lock is held.
 //
 // Soundness (byte-identity with runTrajectory, DESIGN.md section 10):
 //
@@ -46,10 +63,12 @@ package backend
 //     Float64 regardless of outcome), so the draw index along any
 //     root-to-leaf path equals the trial stream's draw index; a
 //     checkpoint at path draw index k is restored by deriving the trial
-//     stream afresh and Skip(k)-ing it. Pauli error branches draw extra
-//     uniforms (the error-kind draw), which is why tapeBern entries
-//     never fork — their minority branch would break the accounting
-//     (and is never near-50/50 at calibrated error rates anyway).
+//     stream afresh and Skip(k)-ing it. A split keeps every draw index:
+//     the fork draws the one uniform its entry drew. Pauli error
+//     branches draw extra uniforms (the error-kind draw), which is why
+//     tapeBern entries never fork — their minority branch would break
+//     the accounting (and is never near-50/50 at calibrated error rates
+//     anyway).
 //   - Replay from a checkpoint re-executes the remaining schedule with
 //     the live code path: the steps between the checkpoint and the
 //     divergent draw re-sample their recorded branches (same state,
@@ -58,11 +77,15 @@ package backend
 //     draws its branch needs, exactly as the legacy loop would.
 //
 // The engine therefore changes only how trials are scheduled, never
-// what they compute.
+// what they compute: the tree's shape depends on which Runs came
+// before, the Counts of a Run do not.
 
 import (
+	"math"
 	"sort"
+	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"edm/internal/rng"
 	"edm/internal/statevec"
@@ -93,6 +116,21 @@ type tapeEntry struct {
 	a, b float64
 	step int32 // schedule step this draw belongs to
 	op   tapeOp
+	// site marks a fork-eligible entry: a Kraus selection or measurement
+	// whose minority branch has probability >= forkMinProb.
+	site bool
+}
+
+// entrySize is the bytes one tape or fork entry holds.
+const entrySize = int64(unsafe.Sizeof(tapeEntry{}))
+
+// recorded returns the branch the entry records: the Kraus operator or
+// measurement outcome the path takes (0 for tapeBern's "no error").
+func (e *tapeEntry) recorded() int {
+	if e.op == tapeChoose1 || e.op == tapeMeas1 {
+		return 1
+	}
+	return 0
 }
 
 // follows reports whether a trial whose next uniform is u takes this
@@ -140,12 +178,19 @@ func (e *tapeEntry) branch(u float64) int {
 	}
 }
 
+// sameEntry reports whether two entries are equal bit for bit.
+func sameEntry(x, y *tapeEntry) bool {
+	return x.op == y.op && x.step == y.step && x.site == y.site &&
+		math.Float64bits(x.a) == math.Float64bits(y.a) &&
+		math.Float64bits(x.b) == math.Float64bits(y.b)
+}
+
 // checkpoint is a copy-on-write snapshot of a dominant path: the
 // state and classical bits *before* executing schedule step stepIdx,
 // with tapeIdx stochastic draws (tape entries plus fork draws) consumed
-// along the path so far. Checkpoints are built once per program and
-// only ever read afterwards — trials restore by copying into their
-// private scratch.
+// along the path so far. Checkpoints are built once per path and only
+// ever read afterwards — trials restore by copying into their private
+// scratch.
 type checkpoint struct {
 	stepIdx int
 	tapeIdx int
@@ -160,6 +205,7 @@ type checkpoint struct {
 type treeNode struct {
 	id       int
 	depth    int // forks above this segment
+	start    int // path draw index of the segment's first entry
 	parent   *treeNode
 	tape     []tapeEntry
 	ckpts    []checkpoint // ascending stepIdx, path-global tapeIdx
@@ -171,35 +217,75 @@ type treeNode struct {
 // isLeaf reports whether the node ends a dominant path.
 func (n *treeNode) isLeaf() bool { return n.children[0] == nil }
 
-// checkpointBefore returns the latest checkpoint on the root-to-n path
-// whose stepIdx is at or before the given schedule step. The root's
-// initial checkpoint (stepIdx 0) guarantees a hit.
-func (n *treeNode) checkpointBefore(step int) *checkpoint {
+// restorePoint returns the latest checkpoint on the root-to-n path
+// whose stepIdx is at or before the given schedule step, and the node
+// that holds it. The root's initial checkpoint (stepIdx 0) guarantees a
+// hit.
+func (n *treeNode) restorePoint(step int) (*treeNode, *checkpoint) {
 	for node := n; node != nil; node = node.parent {
 		ck := node.ckpts
 		i := sort.Search(len(ck), func(j int) bool { return ck[j].stepIdx > step })
 		if i > 0 {
-			return &ck[i-1]
+			return node, &ck[i-1]
 		}
 	}
 	panic("backend: no checkpoint at or before step") // root ckpt 0 prevents this
 }
 
-// prefixPlan is the per-program artifact of the dominant-path build: a
-// tape tree whose nodes share the threshold-tape and checkpoint
-// machinery of the single-path engine.
+// checkpointBefore returns the latest checkpoint on the root-to-n path
+// whose stepIdx is at or before the given schedule step.
+func (n *treeNode) checkpointBefore(step int) *checkpoint {
+	_, ck := n.restorePoint(step)
+	return ck
+}
+
+// prefixPlan is the per-program tape tree. Its shape changes only under
+// mu's write lock (grow); everything else reads it under the read lock.
 type prefixPlan struct {
 	root     *treeNode
-	nodes    []*treeNode // all nodes, depth-first creation order; nodes[0] == root
-	leaves   []*treeNode // leaf nodes, depth-first order
+	nodes    []*treeNode // all nodes in creation order; nodes[i].id == i
+	leaves   []*treeNode // leaf nodes
 	maxDepth int
-	// stateBytes is the checkpoint memory footprint (amplitude buffers
-	// only, each checkpoint at its own width), reported by benchmarks as
-	// the engine's space overhead.
-	stateBytes int64
 	// reg places every schedule step on the register the prefix-sharing
 	// engines run (registerSchedule).
 	reg []regStep
+	// spacing and firstMeas fix where every path snapshots: every
+	// spacing steps, and right before the first measurement, so the
+	// common "gates stayed dominant, a measurement diverged" replay is
+	// bounded by the measurement block.
+	spacing   int
+	firstMeas int
+
+	// mu guards the tree: a Run holds it for reading through its walk
+	// and replay phases, growth for writing.
+	mu sync.RWMutex
+	// siteMu guards the departure table, which concurrent Runs update
+	// while they hold the read lock.
+	siteMu sync.Mutex
+	sites  map[siteKey]*siteRec
+	ready  int   // sites with departures in forkAfterRuns Runs
+	runs   int64 // Runs whose departures were recorded
+
+	// The plan's footprint, read without the lock by Machine.PlanStats:
+	// checkpoint amplitude buffers (each checkpoint at its own width),
+	// tape and fork entries, leaves, and forks grown since the build.
+	stateBytes atomic.Int64
+	tapeBytes  atomic.Int64
+	nLeaves    atomic.Int64
+	forksGrown atomic.Int64
+}
+
+// siteKey names a site by its node and its index in the node's tape.
+type siteKey struct {
+	node *treeNode
+	idx  int32
+}
+
+// siteRec is what earlier Runs observed at one site.
+type siteRec struct {
+	runs    int32 // Runs with at least one departure here
+	lastRun int64 // the Run that last counted toward runs
+	departs int64 // departures over all Runs
 }
 
 // outside marks a step qubit that is not in the register when the step
@@ -335,21 +421,21 @@ var emptyRegister = statevec.NewState(0)
 // later they replay from one of the new path's own checkpoints — so
 // every fork shifts replay suffixes toward the tail of the schedule.
 // forkMinProb is deliberately small (a fraction of a typical calibrated
-// damping or measurement minority) so the depth-first build spends the
-// leaf budget on the earliest qualifying sites, where the suffix saving
-// is largest; Pauli entries still never fork (their error branch draws
-// an extra uniform, breaking the draw-index accounting). Checkpoint
-// memory is bounded twice over: the worst case is
-// maxTreeLeaves * (maxCheckpoints+1) * 16*2^n bytes, and
-// planStateBudget caps the actual footprint — forks stop at half the
-// budget (reserving room for the paths already committed) and
-// checkpoint snapshots stop at the full budget, degrading replay
-// granularity instead of exhausting memory on wide states.
+// damping or measurement minority), so any site trials keep leaving
+// qualifies; forkAfterRuns keeps a site that trials left once, in one
+// Run, from costing a path. Pauli entries never fork (their error branch
+// draws an extra uniform, breaking the draw-index accounting).
+// planStateBudget bounds memory twice: per plan, the snapshots of one
+// path stop once the plan's checkpoints hold it, degrading replay
+// granularity instead of exhausting memory on wide states; per machine,
+// growth stops once the checkpoints and tapes of all its cached plans
+// hold it (Machine.PlanStats).
 const (
 	maxCheckpoints       = 24
 	minCheckpointSpacing = 12
 	maxTreeLeaves        = 96
 	forkMinProb          = 0.003
+	forkAfterRuns        = 2
 	planStateBudget      = 256 << 20
 )
 
@@ -367,6 +453,7 @@ func checkpointSpacing(nSteps int) int {
 var engineStats struct {
 	plansBuilt   atomic.Int64
 	treeLeaves   atomic.Int64
+	forksGrown   atomic.Int64
 	fullDominant atomic.Int64
 	divergent    atomic.Int64
 
@@ -390,8 +477,10 @@ type EngineStats struct {
 	// PlansBuilt counts prefix plans built.
 	PlansBuilt int64
 	// TreeLeaves is the total number of dominant paths across built
-	// plans (1 per plan when no fork criterion fired).
+	// plans: one per plan at its build, plus one per fork grown.
 	TreeLeaves int64
+	// ForksGrown counts forks grown into plans by later Runs.
+	ForksGrown int64
 	// FullDominantTrials resolved on a leaf with zero state work;
 	// DivergentTrials replayed a suffix from a checkpoint.
 	FullDominantTrials int64
@@ -435,6 +524,7 @@ func EngineStatsSnapshot() EngineStats {
 	return EngineStats{
 		PlansBuilt:         engineStats.plansBuilt.Load(),
 		TreeLeaves:         engineStats.treeLeaves.Load(),
+		ForksGrown:         engineStats.forksGrown.Load(),
 		FullDominantTrials: engineStats.fullDominant.Load(),
 		DivergentTrials:    engineStats.divergent.Load(),
 		StabPrograms:       engineStats.stabPrograms.Load(),
@@ -455,6 +545,7 @@ func EngineStatsSnapshot() EngineStats {
 func ResetEngineStats() {
 	engineStats.plansBuilt.Store(0)
 	engineStats.treeLeaves.Store(0)
+	engineStats.forksGrown.Store(0)
 	engineStats.fullDominant.Store(0)
 	engineStats.divergent.Store(0)
 	engineStats.stabPrograms.Store(0)
@@ -475,33 +566,204 @@ func (m *Machine) planFor(prog *program) *prefixPlan {
 	if m.engine == engineLegacy {
 		return nil
 	}
-	prog.prefixOnce.Do(func() { prog.prefix = buildPrefixPlan(prog) })
-	return prog.prefix
+	prog.prefixOnce.Do(func() { prog.prefix.Store(buildPrefixPlan(prog)) })
+	return prog.prefix.Load()
 }
 
-// treeBuilder carries the shared state of the depth-first dominant-path
-// build: the leaf budget, checkpoint spacing, and the schedule position
-// of the first measurement (which gets an extra snapshot so the common
-// "gates stayed dominant, a measurement diverged" replay is bounded by
-// the measurement block).
-type treeBuilder struct {
-	prog      *program
-	plan      *prefixPlan
-	spacing   int
-	firstMeas int
-	leaves    int
-}
-
-func (b *treeBuilder) newNode(parent *treeNode) *treeNode {
-	n := &treeNode{id: len(b.plan.nodes), parent: parent}
-	if parent != nil {
-		n.depth = parent.depth + 1
+// drawsFrom returns the number of draws a dominant path makes from the
+// start of schedule step from to its end, one per stochastic draw: a
+// bound on the tape of a segment that starts there.
+func drawsFrom(prog *program, from int) int {
+	n := 0
+	for i := from; i < len(prog.steps); i++ {
+		st := &prog.steps[i]
+		switch st.kind {
+		case stepPauli1, stepPauli2:
+			if st.p > 0 {
+				n++
+			}
+		case stepDamp:
+			for c := range st.damp {
+				if st.damp[c].ks != nil {
+					n++
+				}
+			}
+		case stepMeasure:
+			n++
+		}
 	}
-	if n.depth > b.plan.maxDepth {
-		b.plan.maxDepth = n.depth
-	}
-	b.plan.nodes = append(b.plan.nodes, n)
 	return n
+}
+
+// pathRun executes the schedule along one path of the tree, from a
+// checkpoint to the end. While replay holds draws it re-executes a
+// recorded path: each draw must reproduce its recorded entry bit for bit
+// and takes the recorded branch, and no snapshot is taken. The last
+// replayed draw is the site being forked: the run takes its minority
+// branch and from there on builds node, whose tape records every draw's
+// dominant branch and whose checkpoints snapshot the path. Unitary steps
+// evolve the state through the kernels the legacy loop runs; diagonal
+// updates stay pending until the next population pass, and a snapshot,
+// an entry or any other step flushes them, at the same steps on every
+// path, so a replay from a checkpoint meets every entry with the state
+// the build had.
+type pathRun struct {
+	prog    *program
+	plan    *prefixPlan
+	node    *treeNode
+	replay  []pathDraw
+	s       *statevec.State
+	pend    pendList
+	bits    []int
+	tapeIdx int
+}
+
+// pathDraw is one recorded draw of a replayed path: the entry, and the
+// branch the path takes there (the recorded branch on a tape, the child
+// on the path at a fork).
+type pathDraw struct {
+	e      tapeEntry
+	branch int
+}
+
+// runFrom restores checkpoint ck, replays the recorded draws, and builds
+// node to the end of the schedule (pathRun).
+func (p *prefixPlan) runFrom(prog *program, ck *checkpoint, replay []pathDraw, node *treeNode) {
+	r := &pathRun{prog: prog, plan: p, node: node, replay: replay, tapeIdx: ck.tapeIdx}
+	r.s = statevec.GetState(prog.nLocal) // room for every qubit to enter
+	defer statevec.PutState(r.s)
+	src := ck.state
+	if src == nil {
+		src = emptyRegister
+	}
+	r.s.CopyFrom(src)
+	r.bits = make([]int, prog.numClbits) // the root checkpoint's bits are nil
+	copy(r.bits, ck.bits)
+	r.run(ck.stepIdx)
+}
+
+// run executes steps from..end, then gives node the path's bits.
+func (r *pathRun) run(from int) {
+	prog, plan := r.prog, r.plan
+	for i := from; i < len(prog.steps); i++ {
+		st := &prog.steps[i]
+		q0, q1, _ := plan.at(i)
+		if i == plan.firstMeas {
+			r.pend.flush(r.s)
+			r.snapshot(i)
+		}
+		for _, e := range plan.reg[i].enter {
+			if e >= 0 {
+				r.pend.flush(r.s)
+				r.s.Enter(int(e))
+			}
+		}
+		switch st.kind {
+		case stepU1, stepU2:
+			if !r.pend.addStep(r.s, st, q0, q1) {
+				r.pend.flush(r.s)
+				applyUnitaryStep(r.s, st, q0, q1)
+			}
+		case stepPauli1, stepPauli2:
+			// Preferred branch: no error. This is the maximum-probability
+			// branch whenever p < 1/2, which holds for every calibrated
+			// error rate; it is also the only branch with a fixed draw
+			// count (one uniform), which is what keeps path draw index ==
+			// trial draw index — and why Pauli entries never fork.
+			if st.p > 0 {
+				r.draw(tapeEntry{op: tapeBern, a: st.p, step: int32(i)})
+			}
+		case stepDamp:
+			for c := range st.damp {
+				if st.damp[c].ks != nil {
+					r.kraus(&st.damp[c], q0, i)
+				}
+			}
+		case stepMeasure:
+			r.measure(st, i)
+		}
+		if (i+1)%plan.spacing == 0 && i+1 < len(prog.steps) {
+			r.pend.flush(r.s)
+			r.snapshot(i + 1)
+		}
+	}
+	r.node.domBits = append([]int(nil), r.bits...)
+}
+
+// draw records or replays one stochastic draw whose operands the live
+// code computed as e, and returns the branch the path takes.
+func (r *pathRun) draw(e tapeEntry) int {
+	r.tapeIdx++
+	if len(r.replay) == 0 {
+		r.node.tape = append(r.node.tape, e)
+		return e.recorded()
+	}
+	d := &r.replay[0]
+	r.replay = r.replay[1:]
+	if !sameEntry(&d.e, &e) {
+		panic("backend: tape-tree replay left the recorded path")
+	}
+	if len(r.replay) == 0 {
+		return 1 - e.recorded() // the forked site: into the minority child
+	}
+	return d.branch
+}
+
+// kraus draws one two-operator Kraus selection: branch probabilities
+// are computed exactly as a live ApplyKraus1Q would on this state — from
+// the populations of the pass that also applies the pending updates —
+// and the higher-probability branch is recorded (pre-scaled, as
+// ApplyKrausBranch1Q does). Every damping step's Kraus sets have exactly
+// two operators (addDamp), so each selection is one draw.
+func (r *pathRun) kraus(ch *dampChan, q, step int) {
+	probs := ch.probs(r.pend.pops(r.s, q))
+	// total replicates rng.Choose's summation order.
+	total := probs[0] + probs[1]
+	dom, op := 0, tapeChoose0
+	if probs[1] > probs[0] {
+		dom, op = 1, tapeChoose1
+	}
+	k := r.draw(tapeEntry{op: op, a: probs[0], b: total, step: int32(step), site: probs[1-dom]/total >= forkMinProb})
+	ch.branch(r.s, &r.pend, q, k, probs[k])
+}
+
+// measure draws one measurement, recording its likelier outcome, and
+// drops the qubit when the measurement is terminal. The population pass
+// that gives P(1) also gives each outcome's projection norm.
+func (r *pathRun) measure(st *step, step int) {
+	q, _, drop := r.plan.at(step)
+	var pk [2]float64
+	pk[0], pk[1] = r.pend.pops(r.s, q)
+	p1 := pk[1]
+	op, minor := tapeMeas0, p1
+	if p1 >= 0.5 {
+		op, minor = tapeMeas1, 1-p1
+	}
+	k := r.draw(tapeEntry{op: op, a: p1, step: int32(step), site: minor >= forkMinProb})
+	r.s.Collapse(q, k, pk[k], drop)
+	r.bits[st.cbit] = k
+}
+
+// snapshot gives node a checkpoint of the path state before schedule
+// step stepIdx, skipping duplicates at the same step and replayed steps
+// (their checkpoints exist). Once the plan's checkpoints hold
+// planStateBudget no further snapshots are taken — replay restores from
+// an ancestor checkpoint instead (restorePoint walks up the tree),
+// trading replay granularity for a bounded footprint.
+func (r *pathRun) snapshot(stepIdx int) {
+	if len(r.replay) > 0 || r.plan.stateBytes.Load() >= planStateBudget {
+		return
+	}
+	if last := lastCkptOnPath(r.node); last != nil && last.stepIdx == stepIdx {
+		return
+	}
+	r.node.ckpts = append(r.node.ckpts, checkpoint{
+		stepIdx: stepIdx,
+		tapeIdx: r.tapeIdx,
+		state:   r.s.Clone(),
+		bits:    append([]int(nil), r.bits...),
+	})
+	r.plan.stateBytes.Add(int64(16) << uint(r.s.N()))
 }
 
 // lastCkptOnPath returns the most recent checkpoint on the root-to-node
@@ -515,246 +777,232 @@ func lastCkptOnPath(node *treeNode) *checkpoint {
 	return nil
 }
 
-// canFork reports whether the build may open another dominant path:
-// the leaf budget has room and checkpoint memory is below half the
-// plan budget (the committed paths still snapshot as they build).
-func (b *treeBuilder) canFork() bool {
-	return b.leaves < maxTreeLeaves && b.plan.stateBytes < planStateBudget/2
+// newNode appends a node whose first entry has path draw index start.
+func (p *prefixPlan) newNode(parent *treeNode, start int) *treeNode {
+	n := &treeNode{id: len(p.nodes), parent: parent, start: start}
+	if parent != nil {
+		n.depth = parent.depth + 1
+	}
+	p.maxDepth = max(p.maxDepth, n.depth)
+	p.nodes = append(p.nodes, n)
+	return n
 }
 
-// snapshot records a checkpoint of the current path state before
-// schedule step stepIdx with tapeIdx path draws consumed, skipping
-// duplicates at the same step. Once the plan's checkpoint memory
-// reaches planStateBudget no further snapshots are taken — replay
-// restores from an ancestor checkpoint instead (lastCkptOnPath /
-// checkpointBefore already walk up the tree), trading replay
-// granularity for a bounded footprint.
-func (b *treeBuilder) snapshot(node *treeNode, s *statevec.State, bits []int, stepIdx, tapeIdx int) {
-	if last := lastCkptOnPath(node); last != nil && last.stepIdx == stepIdx {
-		return
-	}
-	if b.plan.stateBytes >= planStateBudget {
-		return
-	}
-	node.ckpts = append(node.ckpts, checkpoint{
-		stepIdx: stepIdx,
-		tapeIdx: tapeIdx,
-		state:   s.Clone(),
-		bits:    append([]int(nil), bits...),
-	})
-	b.plan.stateBytes += int64(16) << uint(s.N())
-}
-
-// buildPrefixPlan builds the tape tree: the dominant path is executed
-// once per segment — unitary steps evolve the state through the shared
-// kernels, stochastic steps record their threshold and apply their
-// preferred branch — and near-50/50 comparisons fork the build while
-// the leaf budget lasts. Every damping step's Kraus sets have exactly
-// two operators (addDamp), so each selection is one tape entry.
+// buildPrefixPlan builds the plan's dominant path: one execution of the
+// schedule taking every stochastic step's likelier branch.
 func buildPrefixPlan(prog *program) *prefixPlan {
-	plan := &prefixPlan{reg: registerSchedule(prog)}
-	b := &treeBuilder{
-		prog:      prog,
-		plan:      plan,
+	plan := &prefixPlan{
+		reg:       registerSchedule(prog),
 		spacing:   checkpointSpacing(len(prog.steps)),
 		firstMeas: -1,
-		leaves:    1,
 	}
 	for i := range prog.steps {
 		if prog.steps[i].kind == stepMeasure {
-			b.firstMeas = i
+			plan.firstMeas = i
 			break
 		}
 	}
-	root := b.newNode(nil)
+	root := plan.newNode(nil, 0)
 	root.ckpts = append(root.ckpts, checkpoint{stepIdx: 0, tapeIdx: 0})
+	root.tape = make([]tapeEntry, 0, drawsFrom(prog, 0))
 	plan.root = root
-	s := statevec.GetState(prog.nLocal) // room for every qubit to enter
-	defer statevec.PutState(s)
-	s.CopyFrom(emptyRegister)
-	bits := make([]int, prog.numClbits)
-	b.build(root, s, new(pendList), bits, 0, 0, 0)
-	for _, n := range plan.nodes {
-		if n.isLeaf() {
-			plan.leaves = append(plan.leaves, n)
-		}
-	}
+	plan.leaves = []*treeNode{root}
+	plan.runFrom(prog, &root.ckpts[0], nil, root)
+	plan.tapeBytes.Store(int64(len(root.tape)) * entrySize)
+	plan.nLeaves.Store(1)
 	engineStats.plansBuilt.Add(1)
-	engineStats.treeLeaves.Add(int64(len(plan.leaves)))
+	engineStats.treeLeaves.Add(1)
 	return plan
 }
 
-// Sub-step positions for resuming a schedule step after a fork: a damp
-// step samples its amplitude channel then its dephasing channel, and a
-// fork at either leaves the rest of the step to the children.
-const (
-	subStart  = 0 // execute the whole step
-	subAfterA = 1 // amplitude Kraus done (damp) / measurement done
-	subAfterP = 2 // both damp channels done
-)
-
-// build executes the dominant path of node's segment from schedule
-// position (startStep, startSub) with tapeIdx path draws consumed. s,
-// its pending diagonal updates and bits are the running path state;
-// build either completes the schedule (node becomes a leaf) or forks
-// and recurses into both children, cloning the state once for the
-// minority branch. Diagonal updates stay pending until the next
-// population pass; a snapshot, an entry or any other step flushes them.
-func (b *treeBuilder) build(node *treeNode, s *statevec.State, pend *pendList, bits []int, startStep, startSub, tapeIdx int) {
-	prog := b.prog
-	for i := startStep; i < len(prog.steps); i++ {
-		st := &prog.steps[i]
-		q0, q1, _ := b.plan.at(i)
-		sub := subStart
-		if i == startStep {
-			sub = startSub
-		}
-		if sub == subStart {
-			if i == b.firstMeas {
-				pend.flush(s)
-				b.snapshot(node, s, bits, i, tapeIdx)
+// record counts one Run's departures, one key per trial that left the
+// tree at a site. Runs call it under the read lock.
+func (p *prefixPlan) record(deps [][]siteKey) {
+	p.siteMu.Lock()
+	defer p.siteMu.Unlock()
+	p.runs++
+	for _, ks := range deps {
+		for _, k := range ks {
+			rec := p.sites[k]
+			if rec == nil {
+				if p.sites == nil {
+					p.sites = make(map[siteKey]*siteRec)
+				}
+				rec = new(siteRec)
+				p.sites[k] = rec
 			}
-			for _, e := range b.plan.reg[i].enter {
-				if e >= 0 {
-					pend.flush(s)
-					s.Enter(int(e))
+			rec.departs++
+			if rec.lastRun != p.runs {
+				rec.lastRun = p.runs
+				if rec.runs++; rec.runs == forkAfterRuns {
+					p.ready++
 				}
 			}
 		}
-		switch st.kind {
-		case stepU1, stepU2:
-			if !pend.addStep(s, st, q0, q1) {
-				pend.flush(s)
-				applyUnitaryStep(s, st, q0, q1)
-			}
-		case stepPauli1, stepPauli2:
-			// Preferred branch: no error. This is the maximum-probability
-			// branch whenever p < 1/2, which holds for every calibrated
-			// error rate; it is also the only branch with a fixed draw
-			// count (one uniform), which is what keeps path draw index ==
-			// trial draw index — and why Pauli entries never fork.
-			if st.p > 0 {
-				node.tape = append(node.tape, tapeEntry{op: tapeBern, a: st.p, step: int32(i)})
-				tapeIdx++
-			}
-		case stepDamp:
-			for c, next := range [2]int{subAfterA, subAfterP} {
-				if st.damp[c].ks != nil && sub < next {
-					if b.emitKraus(node, s, pend, bits, &st.damp[c], q0, i, next, &tapeIdx) {
-						return
-					}
-				}
-			}
-		case stepMeasure:
-			if sub == subStart {
-				if b.emitMeasure(node, s, pend, bits, st, i, &tapeIdx) {
-					return
-				}
-			}
-		}
-		if (i+1)%b.spacing == 0 && i+1 < len(prog.steps) {
-			pend.flush(s)
-			b.snapshot(node, s, bits, i+1, tapeIdx)
+	}
+}
+
+// grow forks the plan at every site with departures in forkAfterRuns
+// earlier Runs, the sites with the most departures first, until the tree
+// has maxTreeLeaves leaves or the machine's cached plans hold its plan
+// budget. A Run calls it before taking the read lock, holding no compute
+// token.
+func (m *Machine) grow(prog *program, p *prefixPlan) {
+	p.siteMu.Lock()
+	ready := p.ready
+	p.siteMu.Unlock()
+	budget := m.growthBudget()
+	if ready == 0 || m.PlanStats().Bytes() >= budget {
+		return
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.siteMu.Lock()
+	defer p.siteMu.Unlock()
+	var sel []siteKey
+	for k, rec := range p.sites {
+		if rec.runs >= forkAfterRuns {
+			sel = append(sel, k)
 		}
 	}
-	node.domBits = append([]int(nil), bits...)
+	sort.Slice(sel, func(i, j int) bool {
+		x, y := p.sites[sel[i]], p.sites[sel[j]]
+		if x.departs != y.departs {
+			return x.departs > y.departs
+		}
+		if px, py := sel[i].node.start+int(sel[i].idx), sel[j].node.start+int(sel[j].idx); px != py {
+			return px < py
+		}
+		return sel[i].node.id < sel[j].node.id
+	})
+	sel = sel[:min(len(sel), maxTreeLeaves-len(p.leaves))]
+	// Splitting a node moves the entries after the fork to its dominant
+	// child; forking a node's sites from the last one up keeps the
+	// earlier ones where sel names them.
+	sort.Slice(sel, func(i, j int) bool {
+		if sel[i].node != sel[j].node {
+			return sel[i].node.id < sel[j].node.id
+		}
+		return sel[i].idx > sel[j].idx
+	})
+	for _, k := range sel {
+		if m.PlanStats().Bytes() >= budget {
+			break
+		}
+		p.fork(prog, k.node, int(k.idx))
+	}
+	if len(p.leaves) >= maxTreeLeaves {
+		p.sites, p.ready = nil, 0
+	}
 }
 
-// fork turns node into an internal node at the given entry and builds
-// both children from schedule position (stepIdx, nextSub): apply is
-// called with the branch index and the branch's state to take the
-// branch's state update. The dominant branch continues in place; the
-// minority branch gets a copy with room for every qubit to enter. Forks
-// come right after a population pass, so no update is pending on s.
-func (b *treeBuilder) fork(node *treeNode, s *statevec.State, pend *pendList, bits []int, entry tapeEntry,
-	dom, stepIdx, nextSub, tapeIdx int, apply func(branch int, bs *statevec.State, bp *pendList, bb []int)) {
-	node.fork = entry
-	b.leaves++
-	other := statevec.GetState(b.prog.nLocal)
-	defer statevec.PutState(other)
-	other.CopyFrom(s)
-	otherBits := append([]int(nil), bits...)
-	var otherPend pendList
-	cd := b.newNode(node)
-	node.children[dom] = cd
-	apply(dom, s, pend, bits)
-	b.build(cd, s, pend, bits, stepIdx, nextSub, tapeIdx)
-	co := b.newNode(node)
-	node.children[1-dom] = co
-	apply(1-dom, other, &otherPend, otherBits)
-	b.build(co, other, &otherPend, otherBits, stepIdx, nextSub, tapeIdx)
+// fork splits node n at its tape entry s, a site, and builds the
+// minority child: it restores the latest checkpoint before the entry,
+// replays the recorded path to it, takes the minority branch and builds
+// the child to the end of the schedule. Callers hold both locks.
+func (p *prefixPlan) fork(prog *program, n *treeNode, s int) {
+	e := n.tape[s]
+	holder, ck := n.restorePoint(int(e.step))
+	var path []*treeNode
+	for x := n; x != holder; x = x.parent {
+		path = append(path, x)
+	}
+	path = append(path, holder)
+	var replay []pathDraw
+	for i := len(path) - 1; i >= 0; i-- {
+		x, from, to := path[i], 0, len(path[i].tape)
+		if x == holder {
+			from = ck.tapeIdx - x.start
+		}
+		if x == n {
+			to = s + 1
+		}
+		for j := from; j < to; j++ {
+			replay = append(replay, pathDraw{x.tape[j], x.tape[j].recorded()})
+		}
+		if x != n {
+			child := 0
+			if x.children[1] == path[i-1] {
+				child = 1
+			}
+			replay = append(replay, pathDraw{x.fork, child})
+		}
+	}
+
+	dom, minor := p.split(n, s)
+	p.rekey(n, s, dom)
+	minor.tape = make([]tapeEntry, 0, drawsFrom(prog, int(e.step)))
+	p.runFrom(prog, ck, replay, minor)
+
+	p.tapeBytes.Add(int64(len(minor.tape)) * entrySize)
+	p.nLeaves.Add(1)
+	p.forksGrown.Add(1)
+	engineStats.forksGrown.Add(1)
+	engineStats.treeLeaves.Add(1)
 }
 
-// emitKraus records one two-operator Kraus selection on the dominant
-// path: branch probabilities are computed exactly as a live
-// ApplyKraus1Q would on this state — from the populations of the pass
-// that also applies the pending updates — and the higher-probability
-// branch is recorded and taken (pre-scaled, as ApplyKrausBranch1Q
-// does). It returns true if the selection forked (the children own the
-// rest of the schedule).
-func (b *treeBuilder) emitKraus(node *treeNode, s *statevec.State, pend *pendList, bits []int,
-	ch *dampChan, q, stepIdx, nextSub int, tapeIdx *int) bool {
-	probs := ch.probs(pend.pops(s, q))
-	// total replicates rng.Choose's summation order.
-	total := probs[0] + probs[1]
-	dom := 0
-	op := tapeChoose0
-	if probs[1] > probs[0] {
-		dom = 1
-		op = tapeChoose1
+// split turns n into an internal node forking at its tape entry s and
+// returns its two new children. n keeps its tape and checkpoints from
+// before the entry; the dominant child takes the rest of both — sharing
+// their backing arrays, so checkpoint pointers stay valid — and n's old
+// fork and children or leaf bits. The minority child is empty.
+func (p *prefixPlan) split(n *treeNode, s int) (dom, minor *treeNode) {
+	e := n.tape[s]
+	dom = p.newNode(n, n.start+s+1)
+	dom.tape = n.tape[s+1:]
+	k := sort.Search(len(n.ckpts), func(j int) bool { return n.ckpts[j].stepIdx > int(e.step) })
+	dom.ckpts = n.ckpts[k:]
+	dom.fork, dom.children, dom.domBits = n.fork, n.children, n.domBits
+	for _, c := range dom.children {
+		if c != nil {
+			c.parent = dom
+		}
 	}
-	entry := tapeEntry{op: op, a: probs[0], b: total, step: int32(stepIdx)}
-	if minor := probs[1-dom] / total; minor >= forkMinProb && b.canFork() {
-		*tapeIdx++
-		b.fork(node, s, pend, bits, entry, dom, stepIdx, nextSub, *tapeIdx,
-			func(branch int, bs *statevec.State, bp *pendList, _ []int) {
-				ch.branch(bs, bp, q, branch, probs[branch])
-			})
-		return true
+	p.deepen(dom)
+	n.tape = n.tape[:s:s]
+	n.ckpts = n.ckpts[:k:k]
+	n.fork, n.domBits = e, nil
+	minor = p.newNode(n, n.start+s+1)
+	n.children[e.recorded()] = dom
+	n.children[1-e.recorded()] = minor
+	for i, l := range p.leaves {
+		if l == n {
+			p.leaves[i] = dom
+		}
 	}
-	node.tape = append(node.tape, entry)
-	*tapeIdx++
-	ch.branch(s, pend, q, dom, probs[dom])
-	return false
+	p.leaves = append(p.leaves, minor)
+	return dom, minor
 }
 
-// emitMeasure records one measurement on the dominant path, forking
-// when the outcome is near-50/50 (the canonical genuinely random branch
-// point: measuring an equal superposition), and drops the qubit on every
-// branch when the measurement is terminal. The population pass that
-// gives P(1) also gives each outcome's projection norm. It returns true
-// if the measurement forked.
-func (b *treeBuilder) emitMeasure(node *treeNode, s *statevec.State, pend *pendList, bits []int,
-	st *step, stepIdx int, tapeIdx *int) bool {
-	q, _, drop := b.plan.at(stepIdx)
-	var pk [2]float64
-	pk[0], pk[1] = pend.pops(s, q)
-	p1 := pk[1]
-	dom := 0
-	op := tapeMeas0
-	if p1 >= 0.5 {
-		dom = 1
-		op = tapeMeas1
+// deepen sets the depths below node, whose own depth is set, after a
+// split moved its subtree one fork further from the root.
+func (p *prefixPlan) deepen(node *treeNode) {
+	for _, c := range node.children {
+		if c != nil {
+			c.depth = node.depth + 1
+			p.maxDepth = max(p.maxDepth, c.depth)
+			p.deepen(c)
+		}
 	}
-	entry := tapeEntry{op: op, a: p1, step: int32(stepIdx)}
-	minor := p1
-	if dom == 1 {
-		minor = 1 - p1
+}
+
+// rekey moves the departure records of n's entries after s, which the
+// split at s gave to the dominant child, onto that child, and drops the
+// forked site's record.
+func (p *prefixPlan) rekey(n *treeNode, s int, dom *treeNode) {
+	for k, rec := range p.sites {
+		if k.node != n || int(k.idx) < s {
+			continue
+		}
+		delete(p.sites, k)
+		if int(k.idx) == s {
+			if rec.runs >= forkAfterRuns {
+				p.ready--
+			}
+			continue
+		}
+		p.sites[siteKey{dom, k.idx - int32(s) - 1}] = rec
 	}
-	if minor >= forkMinProb && b.canFork() {
-		*tapeIdx++
-		b.fork(node, s, pend, bits, entry, dom, stepIdx, subAfterA, *tapeIdx,
-			func(branch int, bs *statevec.State, _ *pendList, bb []int) {
-				bs.Collapse(q, branch, pk[branch], drop)
-				bb[st.cbit] = branch
-			})
-		return true
-	}
-	node.tape = append(node.tape, entry)
-	*tapeIdx++
-	s.Collapse(q, dom, pk[dom], drop)
-	bits[st.cbit] = dom
-	return false
 }
 
 // walkTape burns a trial stream's uniforms against the tape tree: every

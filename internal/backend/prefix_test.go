@@ -118,6 +118,18 @@ func newCountingStream(root *rng.RNG, t int) *countingStream {
 
 func (c *countingStream) draws() uint64 { return rng.DrawCount(c.base, c.r.State()) }
 
+// growPlan runs exe on m with fresh seeds until its plan has grown the
+// forks trials asked for: forkAfterRuns Runs record where trials left
+// the tree, and the next Run forks those sites before it walks.
+func growPlan(t testing.TB, m *Machine, exe *circuit.Circuit, trials int) {
+	t.Helper()
+	for i := 0; i <= forkAfterRuns; i++ {
+		if _, err := m.Run(exe, trials, rng.New(uint64(1000+i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // pathDraws returns the number of stochastic draws a trial consumes
 // scanning from the root through node's tape segment: one per tape
 // entry on the path, plus one per fork crossed to reach node.
@@ -145,13 +157,42 @@ func pathDraws(n *treeNode) uint64 {
 // and fork on its path plus its readout draws, and a divergent trial
 // diverged inside its node's path — and that the suite exercises fully
 // dominant trials on the root leaf, dominant trials on forked leaves,
-// and divergent trials.
+// and divergent trials. Each circuit runs forkAfterRuns+1 times: the
+// first Runs walk the fresh dominant path and record where trials left
+// it, and the last grows its forks first.
 func TestPrefixDrawOrderContract(t *testing.T) {
 	exes := physicalWorkloads(t)
 	cal := device.Generate(device.Melbourne(), device.MelbourneProfile(), rng.New(5))
 	m := New(cal)
 	m.engine = engineStatevector
 
+	var saw drawCoverage
+	// The paper workloads plus a GHZ chain, whose first measurement is an
+	// exact 50/50 branch point — the canonical fork.
+	circuits := map[string]*circuit.Circuit{"ghz-chain": benchCircuit(6)}
+	for name, exe := range exes {
+		circuits[name] = exe.Circuit
+	}
+
+	for name, exe := range circuits {
+		for run := 0; run <= forkAfterRuns; run++ {
+			checkDrawOrder(t, m, name, exe, rng.New(uint64(97+run)), &saw)
+		}
+	}
+	if !saw.dominant || !saw.forked || !saw.divergent {
+		t.Fatalf("contract test lacks coverage: dominant=%v forked=%v divergent=%v",
+			saw.dominant, saw.forked, saw.divergent)
+	}
+}
+
+// drawCoverage records which kinds of trial the contract test saw: fully
+// dominant ones, dominant ones on a forked leaf, and divergent ones.
+type drawCoverage struct{ dominant, forked, divergent bool }
+
+// checkDrawOrder runs exe once on m from root and checks every trial's
+// draw order against the legacy loop (TestPrefixDrawOrderContract).
+func checkDrawOrder(t *testing.T, m *Machine, name string, exe *circuit.Circuit, root *rng.RNG, saw *drawCoverage) {
+	t.Helper()
 	const trials = 300
 	type readout struct {
 		calls int
@@ -166,88 +207,71 @@ func TestPrefixDrawOrderContract(t *testing.T) {
 		hooked[trial].final = *final
 	}
 	defer func() { testHookReadout = nil }()
-
-	sawDominant, sawForkedDominant, sawDivergent := false, false, false
-	// The paper workloads plus a GHZ chain, whose first measurement is an
-	// exact 50/50 branch point — the canonical fork.
-	circuits := map[string]*circuit.Circuit{"ghz-chain": benchCircuit(6)}
-	for name, exe := range exes {
-		circuits[name] = exe.Circuit
+	if _, err := m.Run(exe, trials, root); err != nil {
+		t.Fatalf("%s: %v", name, err)
 	}
-
-	for name, exe := range circuits {
-		root := rng.New(99)
-		hooked = [trials]readout{}
-		if _, err := m.Run(exe, trials, root); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		prog, err := m.getProgram(exe)
-		if err != nil {
-			t.Fatal(err)
-		}
-		plan := m.planFor(prog)
-		if plan == nil {
-			t.Fatalf("%s: no prefix plan", name)
-		}
-		sLegacy := statevec.NewState(prog.nLocal)
-		bitsLegacy := make([]int, prog.numClbits)
-		for trial := 0; trial < trials; trial++ {
-			legacyStream := newCountingStream(root, trial)
-			want := m.runTrajectory(prog, sLegacy, bitsLegacy, legacyStream.r)
-
-			h := &hooked[trial]
-			if h.calls != 1 {
-				t.Fatalf("%s trial %d: hook invoked %d times, want 1", name, trial, h.calls)
-			}
-			prefixStream := &countingStream{r: &h.final, base: root.DeriveN("trial", trial).State()}
-
-			if want != h.out {
-				t.Fatalf("%s trial %d: outcome differs (legacy %v, prefix %v)", name, trial, want, h.out)
-			}
-			if legacyStream.draws() != prefixStream.draws() {
-				t.Fatalf("%s trial %d: draw count differs (legacy %d, prefix %d)",
-					name, trial, legacyStream.draws(), prefixStream.draws())
-			}
-			if legacyStream.r.State() != prefixStream.r.State() {
-				t.Fatalf("%s trial %d: final stream state differs", name, trial)
-			}
-			node, _, div := walkTape(plan, root.DeriveN("trial", trial))
-			if node.id < 0 || node.id >= len(plan.nodes) || plan.nodes[node.id] != node {
-				t.Fatalf("%s trial %d: walk node id %d out of range", name, trial, node.id)
-			}
-			if div < 0 {
-				if !node.isLeaf() {
-					t.Fatalf("%s trial %d: dominant trial ended on internal node %d", name, trial, node.id)
-				}
-				sawDominant = true
-				if node.depth > 0 {
-					sawForkedDominant = true
-				}
-				// A fully dominant trial consumes one draw per tape entry on
-				// its path, one per fork crossed, plus one readout draw per
-				// measured bit — nothing else.
-				wantDraws := pathDraws(node)
-				for _, q := range prog.measPhys {
-					if q >= 0 {
-						wantDraws++
-					}
-				}
-				if prefixStream.draws() != wantDraws {
-					t.Fatalf("%s trial %d: dominant trial drew %d, want %d",
-						name, trial, prefixStream.draws(), wantDraws)
-				}
-			} else {
-				sawDivergent = true
-				if uint64(div) >= pathDraws(node) {
-					t.Fatalf("%s trial %d: divergence index %d past node %d's path draws",
-						name, trial, div, node.id)
-				}
-			}
-		}
+	prog, err := m.getProgram(exe)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !sawDominant || !sawForkedDominant || !sawDivergent {
-		t.Fatalf("contract test lacks coverage: dominant=%v forked=%v divergent=%v",
-			sawDominant, sawForkedDominant, sawDivergent)
+	plan := m.planFor(prog)
+	if plan == nil {
+		t.Fatalf("%s: no prefix plan", name)
+	}
+	sLegacy := statevec.NewState(prog.nLocal)
+	bitsLegacy := make([]int, prog.numClbits)
+	for trial := 0; trial < trials; trial++ {
+		legacyStream := newCountingStream(root, trial)
+		want := m.runTrajectory(prog, sLegacy, bitsLegacy, legacyStream.r)
+
+		h := &hooked[trial]
+		if h.calls != 1 {
+			t.Fatalf("%s trial %d: hook invoked %d times, want 1", name, trial, h.calls)
+		}
+		prefixStream := &countingStream{r: &h.final, base: root.DeriveN("trial", trial).State()}
+
+		if want != h.out {
+			t.Fatalf("%s trial %d: outcome differs (legacy %v, prefix %v)", name, trial, want, h.out)
+		}
+		if legacyStream.draws() != prefixStream.draws() {
+			t.Fatalf("%s trial %d: draw count differs (legacy %d, prefix %d)",
+				name, trial, legacyStream.draws(), prefixStream.draws())
+		}
+		if legacyStream.r.State() != prefixStream.r.State() {
+			t.Fatalf("%s trial %d: final stream state differs", name, trial)
+		}
+		node, _, div := walkTape(plan, root.DeriveN("trial", trial))
+		if node.id < 0 || node.id >= len(plan.nodes) || plan.nodes[node.id] != node {
+			t.Fatalf("%s trial %d: walk node id %d out of range", name, trial, node.id)
+		}
+		if div < 0 {
+			if !node.isLeaf() {
+				t.Fatalf("%s trial %d: dominant trial ended on internal node %d", name, trial, node.id)
+			}
+			saw.dominant = true
+			if node.depth > 0 {
+				saw.forked = true
+			}
+			// A fully dominant trial consumes one draw per tape entry on
+			// its path, one per fork crossed, plus one readout draw per
+			// measured bit — nothing else.
+			wantDraws := pathDraws(node)
+			for _, q := range prog.measPhys {
+				if q >= 0 {
+					wantDraws++
+				}
+			}
+			if prefixStream.draws() != wantDraws {
+				t.Fatalf("%s trial %d: dominant trial drew %d, want %d",
+					name, trial, prefixStream.draws(), wantDraws)
+			}
+		} else {
+			saw.divergent = true
+			if uint64(div) >= pathDraws(node) {
+				t.Fatalf("%s trial %d: divergence index %d past node %d's path draws",
+					name, trial, div, node.id)
+			}
+		}
 	}
 }
 
@@ -271,10 +295,12 @@ func pathNodes(leaf *treeNode) []*treeNode {
 // measurements shrink it) and stateBytes sums exactly those widths,
 // tapes are ordered by schedule step, and checkpointBefore returns the
 // tightest on-path checkpoint. The GHZ bench circuit measures an equal
-// superposition, so the plan must actually fork.
+// superposition, so once trials have left that measurement in
+// forkAfterRuns Runs the plan must actually fork.
 func TestPrefixPlanShape(t *testing.T) {
 	m := noisyMachine(7)
-	prog, err := m.getProgram(benchCircuit(14))
+	exe := benchCircuit(14)
+	prog, err := m.getProgram(exe)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,6 +308,7 @@ func TestPrefixPlanShape(t *testing.T) {
 	if plan == nil {
 		t.Fatal("no plan")
 	}
+	growPlan(t, m, exe, 300)
 	if got := m.planFor(prog); got != plan {
 		t.Fatal("planFor rebuilt the plan")
 	}
@@ -341,8 +368,8 @@ func TestPrefixPlanShape(t *testing.T) {
 	if leaves != len(plan.leaves) {
 		t.Fatalf("plan.leaves has %d entries, tree has %d leaves", len(plan.leaves), leaves)
 	}
-	if plan.stateBytes != ckptBytes {
-		t.Fatalf("stateBytes = %d, want %d (16 bytes * 2^width summed over state checkpoints)", plan.stateBytes, ckptBytes)
+	if plan.stateBytes.Load() != ckptBytes {
+		t.Fatalf("stateBytes = %d, want %d (16 bytes * 2^width summed over state checkpoints)", plan.stateBytes.Load(), ckptBytes)
 	}
 	if !narrowed {
 		t.Fatal("no checkpoint lies after a terminal measurement; the width invariant is untested")
@@ -433,8 +460,9 @@ func TestPrefixPlanShape(t *testing.T) {
 // through Machine.Run at GOMAXPROCS=1 (AllocsPerRun pins it there):
 // each trial derives its stream, divergent trials derive a second one
 // to skip to their checkpoint, and the walk, bucketing and replay units
-// add a few per trial on this 200-trial run. Regressions here mean a
-// scratch buffer leaked back into the hot loop.
+// add a few per trial on this 200-trial run, measured once the plan has
+// stopped growing. Regressions here mean a scratch buffer leaked back
+// into the hot loop.
 func TestTrialAllocsSteadyState(t *testing.T) {
 	m := noisyMachine(7)
 	exe := benchCircuit(10)
@@ -458,7 +486,18 @@ func TestTrialAllocsSteadyState(t *testing.T) {
 		}
 	}
 	legacyBody() // warm up scratch pools and lazily built state
-	runBody()
+	// Let the plan grow until it settles: every Run draws the same
+	// trials, so once forkAfterRuns+1 Runs in a row grow nothing, none
+	// will.
+	for quiet := 0; quiet <= forkAfterRuns; {
+		before := m.PlanStats().ForksGrown
+		runBody()
+		if m.PlanStats().ForksGrown == before {
+			quiet++
+		} else {
+			quiet = 0
+		}
+	}
 
 	if per := testing.AllocsPerRun(10, legacyBody) / trials; per > 1.1 {
 		t.Errorf("legacy path: %.2f allocs/trial, want ~1", per)

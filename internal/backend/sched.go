@@ -42,7 +42,9 @@ import (
 //
 // Each phase is one fanOut, so workers hold a compute token only within
 // a phase and none across the inter-phase barrier; concurrent Runs
-// cannot deadlock on tokens.
+// cannot deadlock on tokens. The coordinator takes the plan's locks —
+// growth's write lock, then the read lock it holds through both phases
+// (prefix.go) — holding no token.
 
 // divTrial records one divergent trial found in phase A.
 type divTrial struct {
@@ -142,17 +144,29 @@ func fanOut(workers, nbits int, body func(w int, counts *dist.Counts, tally *tri
 }
 
 // runBatched runs `trials` trials of prog through the batched replay
-// engine. Counts are byte-identical to the legacy loop.
+// engine. Counts are byte-identical to the legacy loop. It first grows
+// the plan where earlier Runs left it (prefix.go), then holds the plan's
+// read lock through both phases, and records where this Run's trials
+// left the tree.
 func (m *Machine) runBatched(prog *program, plan *prefixPlan, trials int, r *rng.RNG, cancel *atomic.Bool) *dist.Counts {
+	m.grow(prog, plan)
+	plan.mu.RLock()
+	defer plan.mu.RUnlock()
 	workers := trialWorkers(trials)
 
 	// Phase A: tape-tree walks, dominant trials completed inline.
+	// Departures at sites are recorded while the tree can still grow.
 	divLists := make([][]divTrial, workers)
+	var departs [][]siteKey
+	if len(plan.leaves) < maxTreeLeaves {
+		departs = make([][]siteKey, workers)
+	}
 	var next atomic.Int64
 	const chunk = 256
 	counts := fanOut(workers, prog.numClbits, func(w int, counts *dist.Counts, tally *trialTally) {
 		trueBits := make([]int, prog.numClbits)
 		var divs []divTrial
+		var deps []siteKey
 		for cancel == nil || !cancel.Load() {
 			start := int(next.Add(chunk)) - chunk
 			if start >= trials {
@@ -161,7 +175,7 @@ func (m *Machine) runBatched(prog *program, plan *prefixPlan, trials int, r *rng
 			end := min(start+chunk, trials)
 			for t := start; t < end; t++ {
 				rt := r.DeriveN("trial", t)
-				node, divStep, _ := walkTape(plan, rt)
+				node, divStep, divPos := walkTape(plan, rt)
 				if divStep < 0 {
 					copy(trueBits, node.domBits)
 					out := m.applyReadout(prog, trueBits, rt)
@@ -172,12 +186,21 @@ func (m *Machine) runBatched(prog *program, plan *prefixPlan, trials int, r *rng
 					tally.full++
 				} else {
 					divs = append(divs, divTrial{t: t, ck: node.checkpointBefore(divStep)})
+					if idx := divPos - node.start; departs != nil && node.tape[idx].site {
+						deps = append(deps, siteKey{node, int32(idx)})
+					}
 					tally.div++
 				}
 			}
 		}
 		divLists[w] = divs
+		if departs != nil {
+			departs[w] = deps
+		}
 	})
+	if departs != nil {
+		plan.record(departs)
+	}
 
 	// Bucket by checkpoint and fragment into units of at most the lane
 	// budget (the lane invariant, batchreplay.go).

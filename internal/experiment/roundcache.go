@@ -63,6 +63,21 @@ func BackendCacheStats() (prog backend.CacheStats, run memo.Stats) {
 	return prog, run
 }
 
+// PlanStats sums the tape-tree plans of every machine held by the Round
+// cache (backend.Machine.PlanStats).
+func PlanStats() backend.PlanStats {
+	var s backend.PlanStats
+	roundCache.Each(func(_ uint64, r *Round) {
+		ps := r.Machine.PlanStats()
+		s.Plans += ps.Plans
+		s.Leaves += ps.Leaves
+		s.ForksGrown += ps.ForksGrown
+		s.CheckpointBytes += ps.CheckpointBytes
+		s.TapeBytes += ps.TapeBytes
+	})
+	return s
+}
+
 // ResetCampaignCaches drops every campaign-level cache: the rounds, and
 // with them the compilers' ensemble caches and the machines' run caches
 // that each round owns. Tests and benchmarks call it to measure cold

@@ -26,7 +26,7 @@ const maxBodyBytes = MaxCircuitBytes + 64*1024
 //	                   ?format=text returns the canonical text bytes)
 //	POST /v1/advance   move to the next calibration window
 //	GET  /healthz      liveness
-//	GET  /metrics      plain-text counters
+//	GET  /metrics      counters in the Prometheus text format
 //	GET  /cachestats   JSON counters, per-shard included
 //
 // Malformed payloads are 400s, a full admission queue is 429, a job that
@@ -84,10 +84,8 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		errorJSON(w, http.StatusServiceUnavailable, "server is draining")
 		return
 	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	spec := new(JobSpec)
-	if err := dec.Decode(spec); err != nil {
+	spec, err := decodeJob(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if err != nil {
 		errorJSON(w, http.StatusBadRequest, "decode job: %v", err)
 		return
 	}
@@ -143,6 +141,18 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// decodeJob reads one JobSpec from a request body, refusing unknown
+// fields.
+func decodeJob(body io.Reader) (*JobSpec, error) {
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	spec := new(JobSpec)
+	if err := dec.Decode(spec); err != nil {
+		return nil, err
+	}
+	return spec, nil
+}
+
 // handleAdvance moves the service one calibration window forward.
 func (s *Server) handleAdvance(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
@@ -163,38 +173,59 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	_, _ = io.WriteString(w, "ok\n")
 }
 
-// handleMetrics emits the counters in plain-text exposition format.
+// series is one /metrics sample: its name after the edmd_ prefix, its
+// help text and its value. A name ending in _total is a counter, any
+// other a gauge.
+type series struct {
+	name, help string
+	v          uint64
+}
+
+// handleMetrics emits the counters in the Prometheus text exposition
+// format: every series has one HELP line and one TYPE line, then its
+// sample.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	m := s.svc.Snapshot(false)
+	e := &m.Engine
+	all := []series{
+		{"window", "Current calibration window index.", uint64(m.Window)},
+		{"admission_capacity", "Jobs that may run at once.", uint64(m.Admission.Capacity)},
+		{"admission_in_flight", "Jobs running now.", uint64(m.Admission.InFlight)},
+		{"admission_queued", "Jobs waiting for admission now.", uint64(m.Admission.Queued)},
+		{"admission_admitted_total", "Jobs admitted.", m.Admission.Admitted},
+		{"admission_rejected_total", "Jobs turned away by a full queue.", m.Admission.Rejected},
+		{"admission_cancelled_total", "Jobs abandoned while queued.", m.Admission.Cancelled},
+		{"job_cache_hits_total", "Result tier lookups answered from a finished job.", m.Tier.Hits},
+		{"job_cache_misses_total", "Result tier lookups that ran the job.", m.Tier.Misses},
+		{"job_cache_waits_total", "Result tier lookups that joined a running job.", m.Tier.Waits},
+		{"job_cache_evictions_total", "Result tier entries evicted or replaced.", m.Tier.Evictions},
+		{"job_cache_entries", "Result tier entries held.", uint64(m.Tier.Entries)},
+		{"compile_pool_hits_total", "Candidate pool lookups answered from the window's memo.", m.Pools.Hits},
+		{"compile_pool_misses_total", "Candidate pool lookups that built a pool.", m.Pools.Misses},
+		{"compile_pool_waits_total", "Candidate pool lookups that joined a running build.", m.Pools.Waits},
+		{"plan_bytes", "Checkpoint and tape bytes of the current window's tape-tree plans.", uint64(m.Plans.Bytes())},
+		{"plan_leaves", "Dominant paths of the current window's tape-tree plans.", uint64(m.Plans.Leaves)},
+		{"engine_stab_programs_total", "Programs run on the stabilizer tableau.", uint64(e.StabPrograms)},
+		{"engine_stab_fallbacks_total", "Programs with a non-Clifford step, run on the statevector.", uint64(e.StabFallbacks)},
+		{"engine_stab_prefix_steps_total", "Clifford prefix steps over analyzed programs.", uint64(e.StabPrefixSteps)},
+		{"engine_stab_trials_total", "Trials run on the stabilizer tableau.", uint64(e.StabTrials)},
+		{"engine_stab_max_words", "Widest tableau row in 64-bit words.", uint64(e.StabMaxWords)},
+		{"engine_trials_dominant_total", "Trials resolved on a tape-tree leaf with no state work.", uint64(e.FullDominantTrials)},
+		{"engine_trials_divergent_total", "Trials that replayed a suffix from a checkpoint.", uint64(e.DivergentTrials)},
+		{"engine_batch_buckets_total", "Checkpoint buckets the replay scheduler formed.", uint64(e.BatchBuckets)},
+		{"engine_batch_units_total", "Replay units processed.", uint64(e.BatchUnits)},
+		{"engine_batch_trials_total", "Divergent trials replayed in batches.", uint64(e.BatchTrials)},
+		{"engine_batch_lane_clones_total", "Batch lanes cloned where a group split.", uint64(e.BatchLaneClones)},
+	}
 	var sb strings.Builder
-	put := func(name string, v uint64) { fmt.Fprintf(&sb, "edmd_%s %d\n", name, v) }
-	put("window", uint64(m.Window))
-	put("admission_capacity", uint64(m.Admission.Capacity))
-	put("admission_in_flight", uint64(m.Admission.InFlight))
-	put("admission_queued", uint64(m.Admission.Queued))
-	put("admission_admitted_total", m.Admission.Admitted)
-	put("admission_rejected_total", m.Admission.Rejected)
-	put("admission_cancelled_total", m.Admission.Cancelled)
-	put("job_cache_hits_total", m.Tier.Hits)
-	put("job_cache_misses_total", m.Tier.Misses)
-	put("job_cache_waits_total", m.Tier.Waits)
-	put("job_cache_evictions_total", m.Tier.Evictions)
-	put("job_cache_entries", uint64(m.Tier.Entries))
-	put("compile_pool_hits_total", m.Pools.Hits)
-	put("compile_pool_misses_total", m.Pools.Misses)
-	put("compile_pool_waits_total", m.Pools.Waits)
-	put("engine_stab_programs_total", uint64(m.Engine.StabPrograms))
-	put("engine_stab_fallbacks_total", uint64(m.Engine.StabFallbacks))
-	put("engine_stab_prefix_steps_total", uint64(m.Engine.StabPrefixSteps))
-	put("engine_stab_trials_total", uint64(m.Engine.StabTrials))
-	put("engine_stab_max_words", uint64(m.Engine.StabMaxWords))
-	put("engine_trials_dominant_total", uint64(m.Engine.FullDominantTrials))
-	put("engine_trials_divergent_total", uint64(m.Engine.DivergentTrials))
-	put("engine_batch_buckets_total", uint64(m.Engine.BatchBuckets))
-	put("engine_batch_units_total", uint64(m.Engine.BatchUnits))
-	put("engine_batch_trials_total", uint64(m.Engine.BatchTrials))
-	put("engine_batch_lane_clones_total", uint64(m.Engine.BatchLaneClones))
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+	for _, x := range all {
+		name, kind := "edmd_"+x.name, "gauge"
+		if strings.HasSuffix(name, "_total") {
+			kind = "counter"
+		}
+		fmt.Fprintf(&sb, "# HELP %s %s\n# TYPE %s %s\n%s %d\n", name, x.help, name, kind, name, x.v)
+	}
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_, _ = io.WriteString(w, sb.String())
 }
 

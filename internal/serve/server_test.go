@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -212,5 +213,59 @@ func TestServerQueueFull(t *testing.T) {
 	resp, body := post(t, ts.URL+"/v1/jobs", jobBody)
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("saturated server = %d (%s), want 429", resp.StatusCode, body)
+	}
+}
+
+// TestMetricsPrometheusText: /metrics is Prometheus text. Every series
+// has one HELP line, then one TYPE line (counter for a _total name,
+// gauge otherwise), then its one sample, which parses as the series
+// name and a non-negative integer. After a job the plan gauges read the
+// window machine's plans.
+func TestMetricsPrometheusText(t *testing.T) {
+	_, ts := testServer(t)
+	if resp, body := post(t, ts.URL+"/v1/jobs", jobBody); resp.StatusCode != http.StatusOK {
+		t.Fatalf("job: %d %s", resp.StatusCode, body)
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	lines := strings.Split(strings.TrimSuffix(string(b), "\n"), "\n")
+	if len(lines)%3 != 0 {
+		t.Fatalf("%d lines, want HELP/TYPE/sample triples:\n%s", len(lines), b)
+	}
+	seen := map[string]uint64{}
+	for i := 0; i < len(lines); i += 3 {
+		help, typ, sample := strings.Fields(lines[i]), strings.Fields(lines[i+1]), strings.Fields(lines[i+2])
+		if len(help) < 4 || help[0] != "#" || help[1] != "HELP" {
+			t.Fatalf("line %d: %q is not a HELP line", i+1, lines[i])
+		}
+		name := help[2]
+		kind := "gauge"
+		if strings.HasSuffix(name, "_total") {
+			kind = "counter"
+		}
+		if len(typ) != 4 || typ[0] != "#" || typ[1] != "TYPE" || typ[2] != name || typ[3] != kind {
+			t.Fatalf("line %d: %q, want # TYPE %s %s", i+2, lines[i+1], name, kind)
+		}
+		if len(sample) != 2 || sample[0] != name {
+			t.Fatalf("line %d: %q is not a sample of %s", i+3, lines[i+2], name)
+		}
+		v, err := strconv.ParseUint(sample[1], 10, 64)
+		if err != nil {
+			t.Fatalf("line %d: %q: %v", i+3, lines[i+2], err)
+		}
+		if _, dup := seen[name]; dup {
+			t.Fatalf("series %s appears twice", name)
+		}
+		seen[name] = v
+	}
+	if seen["edmd_job_cache_misses_total"] != 1 {
+		t.Errorf("edmd_job_cache_misses_total = %d, want 1", seen["edmd_job_cache_misses_total"])
+	}
+	if seen["edmd_plan_bytes"] == 0 || seen["edmd_plan_leaves"] == 0 {
+		t.Errorf("plan gauges read %d bytes and %d leaves after a job", seen["edmd_plan_bytes"], seen["edmd_plan_leaves"])
 	}
 }

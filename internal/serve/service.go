@@ -258,17 +258,22 @@ type Metrics struct {
 	Recompile mapper.RecompileStats `json:"recompile"`
 	Runs      memo.Stats            `json:"runs"`
 	Engine    backend.EngineStats   `json:"engine"`
+	// Plans is the current window's machine's tape-tree plans
+	// (backend.Machine.PlanStats).
+	Plans backend.PlanStats `json:"plans"`
 }
 
 // Snapshot gathers the service's counters.
 func (s *Service) Snapshot(withShards bool) Metrics {
+	w := s.win.Load()
 	m := Metrics{
-		Window:    s.Window(),
+		Window:    w.index,
 		Device:    s.DeviceName(),
 		Admission: s.adm.Stats(),
 		Tier:      s.tier.Stats(),
 		Pools:     s.pools.Stats(),
 		Engine:    backend.EngineStatsSnapshot(),
+		Plans:     w.mach.PlanStats(),
 	}
 	if withShards {
 		m.TierShard = s.tier.ShardStats()

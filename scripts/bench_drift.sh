@@ -9,8 +9,9 @@
 # The measurement itself lives in TestDriftBenchReport
 # (internal/experiment/drift_report_test.go), which skips unless
 # EDM_BENCH_DRIFT_OUT is set; keeping it in Go lets the report assert
-# cell bit-equality between the two campaigns in-process, and enforce
-# the >= 2x steady-state speedup bar.
+# cell bit-equality between the two campaigns in-process on every run,
+# and enforce the >= 2x steady-state speedup bar on the median of three
+# runs of each campaign.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -153,8 +153,11 @@ echo "== trajectory engine determinism (DESIGN.md §10) =="
 # runs every trial loop at widths 1, 2 and 4 inside each pass.
 # DrawOperands compares every operand a replayed draw compares against
 # with the legacy loop's, bit for bit (DESIGN.md §10, pending updates).
-GOMAXPROCS=1 go test -race -count=1 -run 'PrefixEngine|PrefixDrawOrder|PrefixPlan|TerminalDrop|LazyEntry|ParallelMatchesSerial|DrawOperands' ./internal/backend
-go test -race -count=1 -run 'PrefixEngine|PrefixDrawOrder|PrefixPlan|TerminalDrop|LazyEntry|ParallelMatchesSerial|DrawOperands' ./internal/backend
+# Growth pins the lazily grown tree: fresh, grown and legacy Counts
+# agree, concurrent Runs grow one plan, and the machine budget stops
+# growth.
+GOMAXPROCS=1 go test -race -count=1 -run 'PrefixEngine|PrefixDrawOrder|PrefixPlan|TerminalDrop|LazyEntry|ParallelMatchesSerial|DrawOperands|Growth' ./internal/backend
+go test -race -count=1 -run 'PrefixEngine|PrefixDrawOrder|PrefixPlan|TerminalDrop|LazyEntry|ParallelMatchesSerial|DrawOperands|Growth' ./internal/backend
 
 echo "== batched replay identity (DESIGN.md §15) =="
 # The batched divergent-suffix scheduler must match the legacy loop byte
@@ -166,8 +169,9 @@ echo "== batched replay identity (DESIGN.md §15) =="
 # together at every entry. ParallelMatchesSerial pins the batched engine
 # at widths 1, 2 and 4 with more replay units than workers. DrawOperands
 # pins the population passes that serve every group before any draw.
-GOMAXPROCS=1 go test -race -count=1 -run 'BatchedReplay|MaxLanesFor|TerminalDrop|LazyEntry|ParallelMatchesSerial|DrawOperands' ./internal/backend
-go test -race -count=1 -run 'BatchedReplay|MaxLanesFor|TerminalDrop|LazyEntry|ParallelMatchesSerial|DrawOperands' ./internal/backend
+# Growth replays on trees that earlier Runs grew, concurrently too.
+GOMAXPROCS=1 go test -race -count=1 -run 'BatchedReplay|MaxLanesFor|TerminalDrop|LazyEntry|ParallelMatchesSerial|DrawOperands|Growth' ./internal/backend
+go test -race -count=1 -run 'BatchedReplay|MaxLanesFor|TerminalDrop|LazyEntry|ParallelMatchesSerial|DrawOperands|Growth' ./internal/backend
 
 echo "== statevec batch kernels: purego path =="
 # The batch kernels' scalar fallbacks must pin the same frozen oracle
